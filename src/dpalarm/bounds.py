@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 ALPHA_FLOOR = 1e-12
+# Relative resolution of the equivalent-alpha bisection: it stops once its
+# bracket is this narrow, and a bound within this of the target counts as met.
+ALPHA_RTOL = 1e-12
 
 
 class NormTracker:
@@ -216,19 +219,17 @@ def type1_upper_bound(alpha_hat: float, inputs: BoundInputs) -> float:
 
     omega_1 * S_cur(q) + omega_2 * S_max(q), where q is the upper-alpha_hat
     quantile of the scaled perturbed statistic's law (noncentral chi-square at
-    the current noncentrality), S_cur its own survival there (= alpha_hat by
-    construction) and S_max the survival under the window-max noncentrality.
+    the current noncentrality), S_cur its own survival there (alpha_hat by
+    construction, so used as such) and S_max the survival under the
+    window-max noncentrality.
     Monotone increasing in alpha_hat; clamped to [0, 1].
     """
     if not 0.0 < alpha_hat < 1.0:
         raise ValueError(f"alpha_hat must be in (0,1), got {alpha_hat}")
     w1, w2 = inputs._weights()
-    nc_cur = inputs.scaled_nc_current()
-    nc_max = inputs.scaled_nc_max()
-    q = noncentral_chi2_quantile(alpha_hat, inputs.p, nc_cur)
-    s_cur = 1.0 - noncentral_chi2_cdf(q, inputs.p, nc_cur)
-    s_max = 1.0 - noncentral_chi2_cdf(q, inputs.p, nc_max)
-    return _clamp01(w1 * s_cur + w2 * s_max)
+    q = noncentral_chi2_quantile(alpha_hat, inputs.p, inputs.scaled_nc_current())
+    s_max = 1.0 - noncentral_chi2_cdf(q, inputs.p, inputs.scaled_nc_max())
+    return _clamp01(w1 * alpha_hat + w2 * s_max)
 
 
 @dataclass(frozen=True)
@@ -270,12 +271,15 @@ def equivalent_alpha(
 ) -> AlphaInversion:
     """Solve for the alpha_hat whose worst-case Type-I error equals alpha_target.
 
-    Bisection over alpha_hat in (1e-12, alpha_target], exploiting
-    monotonicity of the bound. When the bound at alpha_target is already
-    below the target no inversion is needed and alpha_target is returned with
-    the degenerate flag. With ``n_mc`` > 0 a Monte Carlo re-estimate of the
-    bound at the solution is attached (estimate and standard error), matching
-    the simulation route for computing the equivalent level.
+    Log-space bisection over alpha_hat in (1e-12, alpha_target], exploiting
+    monotonicity of the bound; the returned alpha_hat is the bracket side
+    whose bound is <= the target. When the bound at alpha_target already
+    meets the target no inversion is needed and alpha_target is returned; the
+    degenerate flag is set only if the bound there falls short of the target
+    by more than the bisection's relative resolution ALPHA_RTOL. With
+    ``n_mc`` > 0 a Monte Carlo re-estimate of the bound at the solution is
+    attached (estimate and standard error), matching the simulation route for
+    computing the equivalent level.
     """
     if not 0.0 < alpha_target < 1.0:
         raise ValueError(f"alpha_target must be in (0,1), got {alpha_target}")
@@ -289,7 +293,7 @@ def equivalent_alpha(
             alpha_hat=alpha_target,
             achieved=f_hi,
             target=alpha_target,
-            degenerate=True,
+            degenerate=f_hi < alpha_target * (1.0 - ALPHA_RTOL),
         )
     else:
         lo = ALPHA_FLOOR
@@ -307,7 +311,7 @@ def equivalent_alpha(
                     hi = mid
                 else:
                     lo, f_lo = mid, f_mid
-                if hi / lo < 1.0 + 1e-12:
+                if hi / lo < 1.0 + ALPHA_RTOL:
                     break
             result = AlphaInversion(
                 alpha_hat=lo, achieved=f_lo, target=alpha_target, degenerate=False

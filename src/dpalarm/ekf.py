@@ -67,7 +67,7 @@ class EkfBelief:
     cov: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResidualRecord:
     """One filter step's residual r, residual covariance S, and measurement y."""
 
@@ -218,7 +218,10 @@ def residuals_to_csv(records: Iterable[ResidualRecord], fh: io.TextIOBase) -> No
 def residuals_from_csv(fh: io.TextIOBase) -> list[ResidualRecord]:
     """Read records written by residuals_to_csv (no validation beyond shape).
 
-    Use the ingest command for schema/PSD validation of external streams.
+    Each row is parsed into one float array; a record's ``r`` and ``s`` are
+    views of it, and every record shares one read-only all-NaN ``y`` (the CSV
+    carries no measurements). Use the ingest command for schema/PSD
+    validation of external streams.
     """
     header = fh.readline().strip().split(",")
     if not header or header[0] != "t":
@@ -231,6 +234,8 @@ def residuals_from_csv(fh: io.TextIOBase) -> list[ResidualRecord]:
     )
     if header != expected:
         raise ValueError(f"bad residual header: {header}")
+    y = np.full(d, np.nan)
+    y.flags.writeable = False
     records = []
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()
@@ -239,8 +244,6 @@ def residuals_from_csv(fh: io.TextIOBase) -> list[ResidualRecord]:
         parts = line.split(",")
         if len(parts) != 1 + d + d * d:
             raise ValueError(f"row {lineno}: expected {1 + d + d * d} fields, got {len(parts)}")
-        t = int(parts[0])
-        r = np.array([float(v) for v in parts[1 : 1 + d]])
-        s = np.array([float(v) for v in parts[1 + d :]]).reshape(d, d)
-        records.append(ResidualRecord(t=t, r=r, s=s, y=np.full(d, np.nan)))
+        vals = np.array(parts[1:], dtype=float)
+        records.append(ResidualRecord(t=int(parts[0]), r=vals[:d], s=vals[d:].reshape(d, d), y=y))
     return records

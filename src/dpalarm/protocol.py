@@ -60,7 +60,7 @@ class ProtocolError(ValueError):
     """Malformed record, schema violation, or non-finite wire value."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpochAggregate:
     """Sums of one epoch's residuals/covariances plus the local alarm."""
 
@@ -103,7 +103,7 @@ def aggregate_epoch(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrTuple:
     uid: str
     w: int
@@ -113,7 +113,7 @@ class CrTuple:
     rho: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PvTuple:
     uid: str
     w: int
@@ -123,7 +123,7 @@ class PvTuple:
     rho: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     uid: str
     w: int
@@ -149,7 +149,7 @@ class Handshake:
     params: PrivacyParams
 
 
-@dataclass
+@dataclass(slots=True)
 class EpochResult:
     """Utility-side record of one disclosed epoch (for summaries/experiments)."""
 
@@ -371,15 +371,34 @@ class RegulatorSession:
     """Per-utility verification state at the regulator.
 
     Stateless per tuple apart from duplicate-epoch tracking: a repeated epoch
-    index yields a rejection verdict (at-most-once per (uid, w)).
+    index yields a rejection verdict (at-most-once per (uid, w)). Accepted
+    indices are held as the contiguous run [first, next) that starts at the
+    first accepted index, plus the set of accepted indices outside it, so an
+    in-order stream keeps O(1) state.
     """
 
     def __init__(self, handshake: Handshake):
         self.handshake = handshake
-        self.seen: set[int] = set()
+        self._first = 0
+        self._next = 0
+        self._out_of_order: set[int] = set()
         self.tuples_received = 0
         self.verdicts_sent = 0
         self.mismatches = 0
+
+    def _seen(self, w: int) -> bool:
+        return self._first <= w < self._next or w in self._out_of_order
+
+    def _mark_seen(self, w: int) -> None:
+        if self._first == self._next:  # nothing accepted yet
+            self._first = self._next = w
+        if w == self._next:
+            self._next += 1
+            while self._next in self._out_of_order:
+                self._out_of_order.remove(self._next)
+                self._next += 1
+        else:
+            self._out_of_order.add(w)
 
     def verify(self, tup: CrTuple | PvTuple) -> Verdict:
         self.tuples_received += 1
@@ -387,7 +406,7 @@ class RegulatorSession:
             verdict = Verdict(
                 uid=tup.uid, w=tup.w, rho_hat=0, matched=False, reason="uid mismatch"
             )
-        elif tup.w in self.seen:
+        elif self._seen(tup.w):
             verdict = Verdict(
                 uid=tup.uid, w=tup.w, rho_hat=0, matched=False, reason="duplicate epoch index"
             )
@@ -414,7 +433,7 @@ class RegulatorSession:
                 reason="unknown tuple type",
             )
         if verdict.reason is None:
-            self.seen.add(tup.w)
+            self._mark_seen(tup.w)
         self.verdicts_sent += 1
         if not verdict.matched:
             self.mismatches += 1

@@ -202,6 +202,9 @@ class TestResidualCsv:
             assert a.t == b.t
             assert np.array_equal(a.r, b.r)
             assert np.array_equal(a.s, b.s)
+            # the CSV carries no measurements: a shared, read-only NaN vector
+            assert np.all(np.isnan(b.y)) and b.y.shape == (b.d,)
+            assert not b.y.flags.writeable
 
     def test_header_schema(self):
         buf = io.StringIO("t,r1,badcol\n")

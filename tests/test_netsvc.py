@@ -1,5 +1,7 @@
 import logging
 import socket
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -251,3 +253,15 @@ class TestHarness:
         assert set(per_uid) == {"u0", "u1", "u2"}
         for uid, ws in per_uid.items():
             assert ws == list(range(8)), uid
+
+
+
+def test_import_loads_no_scipy_optimize_or_stats():
+    # the regulator process pays resident memory and start-up for every module
+    code = (
+        "import sys, dpalarm.netsvc; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -104,7 +104,7 @@ class TestUtilityCr:
 
     def test_zero_noise_degeneration(self, rng):
         # covariance noise off, residual noise driven small (the scaled-law
-        # series caps the usable noncentrality, so sigma stays finite)
+        # noncentrality would outgrow chndtr's range, so sigma stays finite)
         sess = make_session(rng, mode="cr", eps_cov=1e12, sigma=2e-2)
         agg = aggregate_epoch(make_records(rng, 10), w=0, alpha=0.05, p=3)
         res = sess.process_epoch(agg)
@@ -246,6 +246,67 @@ class TestRegulatorSession:
         sess = RegulatorSession(self._handshake())
         tup = CrTuple(uid="other", w=0, s_hat=np.eye(3), tau_rg=np.zeros(3), threshold=1.0, rho=0)
         assert sess.verify(tup).rejected
+
+
+class TestRegulatorDuplicateTracking:
+    """Accept/reject decisions of the range-plus-set tracker match a plain set."""
+
+    @staticmethod
+    def _session():
+        hs = Handshake(uid="u0", mode="pv", d=3, p=3, epoch_len=10, params=make_params())
+        return RegulatorSession(hs)
+
+    @staticmethod
+    def _pv(w, alpha_hat=0.05):
+        return PvTuple(uid="u0", w=w, t_res=1.0, t_cov=0.5, alpha_hat=alpha_hat, rho=0)
+
+    def _reasons(self, sess, ws):
+        return [sess.verify(self._pv(w)).reason for w in ws]
+
+    def test_in_order_keeps_constant_state(self):
+        sess = self._session()
+        assert self._reasons(sess, range(5, 505)) == [None] * 500
+        assert (sess._first, sess._next, sess._out_of_order) == (5, 505, set())
+
+    def test_gap_then_fill(self):
+        sess = self._session()
+        assert self._reasons(sess, [0, 1, 4, 5, 2, 3, 6]) == [None] * 7
+        assert (sess._first, sess._next, sess._out_of_order) == (0, 7, set())
+
+    def test_duplicate_inside_range(self):
+        sess = self._session()
+        self._reasons(sess, range(10))
+        assert self._reasons(sess, [0, 4, 9]) == ["duplicate epoch index"] * 3
+        assert self._reasons(sess, [10]) == [None]
+
+    def test_duplicate_of_out_of_order_index(self):
+        sess = self._session()
+        assert self._reasons(sess, [0, 1, 7]) == [None] * 3
+        assert self._reasons(sess, [7]) == ["duplicate epoch index"]
+        assert sess._out_of_order == {7}
+
+    def test_index_below_first(self):
+        # never seen, so accepted once, then a duplicate like any other index
+        sess = self._session()
+        self._reasons(sess, [10, 11])
+        assert self._reasons(sess, [3, 3]) == [None, "duplicate epoch index"]
+        assert self._reasons(sess, [10]) == ["duplicate epoch index"]
+
+    def test_rejected_tuple_does_not_mark_seen(self):
+        sess = self._session()
+        assert sess.verify(self._pv(0, alpha_hat=1.5)).rejected
+        assert self._reasons(sess, [0, 0]) == [None, "duplicate epoch index"]
+        assert sess.verify(self._pv(2, alpha_hat=0.0)).rejected
+        assert self._reasons(sess, [1, 2]) == [None, None]
+        assert (sess._first, sess._next, sess._out_of_order) == (0, 3, set())
+
+    def test_matches_plain_set(self, rng):
+        sess, seen = self._session(), set()
+        for w in rng.integers(0, 60, 400):
+            w = int(w)
+            reason = sess.verify(self._pv(w)).reason
+            assert (reason == "duplicate epoch index") == (w in seen)
+            seen.add(w)
 
 
 class TestWireFormat:

@@ -120,6 +120,11 @@ class TestChi2Test:
         assert abs(rate - alpha) < 3 * np.sqrt(alpha * (1 - alpha) / n)
 
 
+TAIL_ALPHAS = np.logspace(-12, np.log10(0.5), 23)
+TAIL_LAMS = (0.0, 1e-14, 1e-10, 1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0)
+TAIL_DOFS = (1, 2, 3)
+
+
 class TestNoncentralChi2:
     def test_central_degenerate(self):
         xs = np.linspace(0.1, 20.0, 10)
@@ -133,7 +138,7 @@ class TestNoncentralChi2:
 
     def test_sampling_oracle_point(self):
         # 1e7-draw Monte Carlo of ||z+mu||^2, z~N(0,I3), ||mu||^2=2 (seed 2024)
-        # gave cdf(5) = 0.593576; the series must agree within 1e-3.
+        # gave cdf(5) = 0.593576; the CDF must agree within 1e-3.
         assert abs(noncentral_chi2_cdf(5.0, 3, 2.0) - 0.593576) < 1e-3
 
     def test_monotone_in_x_and_lam(self):
@@ -155,6 +160,21 @@ class TestNoncentralChi2:
         with pytest.raises(ValueError):
             noncentral_chi2_cdf(1.0, 3, -1.0)
 
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="range"):
+            noncentral_chi2_cdf(1e13, 3, 1e13)
+
+    def test_upper_tail_grid(self):
+        # 1 - cdf against ncx2.sf at its own isf points, alpha 1e-12..0.5: 1e-9
+        # relative, plus an absolute floor of a few ulps of 1.0 that the
+        # subtraction 1 - cdf cannot beat
+        for k in TAIL_DOFS:
+            for lam in TAIL_LAMS[1:]:
+                xs = sps.ncx2.isf(TAIL_ALPHAS, k, lam)
+                ref = sps.ncx2.sf(xs, k, lam)
+                err = np.abs((1.0 - noncentral_chi2_cdf(xs, k, lam)) - ref)
+                assert np.all(err <= 1e-9 * ref + 1e-15), (k, lam, err.max())
+
 
 class TestNoncentralQuantile:
     def test_roundtrip_grid(self):
@@ -171,6 +191,23 @@ class TestNoncentralQuantile:
         lams = [0.0, 1.0, 3.0, 10.0, 30.0]
         qs = [noncentral_chi2_quantile(0.1, 4, lam) for lam in lams]
         assert np.all(np.diff(qs) > 0)
+
+    def test_tail_grid_against_isf(self):
+        # 1e-9 relative down to alpha 1e-8; below, 1 - alpha itself rounds at
+        # 1e-4 relative of alpha, and 1e-5 relative on the quantile is allowed
+        for k in TAIL_DOFS:
+            for lam in TAIL_LAMS:
+                for a in TAIL_ALPHAS:
+                    ref = sps.ncx2.isf(a, k, lam) if lam > 0.0 else sps.chi2.isf(a, k)
+                    rel = abs(noncentral_chi2_quantile(a, k, lam) - ref) / ref
+                    assert rel <= (1e-9 if a >= 1e-8 else 1e-5), (k, lam, a, rel)
+
+    def test_bad_inputs_rejected(self):
+        for args in [(0.0, 3, 1.0), (1.0, 3, 1.0), (0.05, 3, -1.0), (0.05, 0.5, 1.0)]:
+            with pytest.raises(ValueError):
+                noncentral_chi2_quantile(*args)
+        with pytest.raises(ValueError, match="range"):
+            noncentral_chi2_quantile(0.05, 3, 1e13)
 
 
 class TestAuxCdfs:
