@@ -18,7 +18,9 @@ Conventions used throughout (fixed package-wide):
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,6 +216,26 @@ class BoundInputs:
         return t / self.sigma**2
 
 
+def _type1_bound(inputs: BoundInputs) -> Callable[[float], float]:
+    """type1_upper_bound(., inputs) as a function of alpha_hat alone.
+
+    The weights and both noncentralities depend on the inputs only, so they
+    are evaluated once here; each call of the returned function then costs
+    one quantile and one CDF. alpha_hat must lie in (0, 1).
+    """
+    w1, w2 = inputs._weights()
+    p = inputs.p
+    nc_cur = inputs.scaled_nc_current()
+    nc_max = inputs.scaled_nc_max()
+
+    def bound(alpha_hat: float) -> float:
+        q = noncentral_chi2_quantile(alpha_hat, p, nc_cur)
+        s_max = 1.0 - noncentral_chi2_cdf(q, p, nc_max)
+        return _clamp01(w1 * alpha_hat + w2 * s_max)
+
+    return bound
+
+
 def type1_upper_bound(alpha_hat: float, inputs: BoundInputs) -> float:
     """Worst-case Type-I error of the DP test at significance alpha_hat.
 
@@ -222,14 +244,13 @@ def type1_upper_bound(alpha_hat: float, inputs: BoundInputs) -> float:
     the current noncentrality), S_cur its own survival there (alpha_hat by
     construction, so used as such) and S_max the survival under the
     window-max noncentrality.
-    Monotone increasing in alpha_hat; clamped to [0, 1].
+    Monotone increasing in alpha_hat; clamped to [0, 1]. Evaluates the same
+    function of alpha_hat that equivalent_alpha inverts, so the two agree bit
+    for bit.
     """
     if not 0.0 < alpha_hat < 1.0:
         raise ValueError(f"alpha_hat must be in (0,1), got {alpha_hat}")
-    w1, w2 = inputs._weights()
-    q = noncentral_chi2_quantile(alpha_hat, inputs.p, inputs.scaled_nc_current())
-    s_max = 1.0 - noncentral_chi2_cdf(q, inputs.p, inputs.scaled_nc_max())
-    return _clamp01(w1 * alpha_hat + w2 * s_max)
+    return _type1_bound(inputs)(alpha_hat)
 
 
 @dataclass(frozen=True)
@@ -273,21 +294,25 @@ def equivalent_alpha(
 
     Log-space bisection over alpha_hat in (1e-12, alpha_target], exploiting
     monotonicity of the bound; the returned alpha_hat is the bracket side
-    whose bound is <= the target. When the bound at alpha_target already
-    meets the target no inversion is needed and alpha_target is returned; the
-    degenerate flag is set only if the bound there falls short of the target
-    by more than the bisection's relative resolution ALPHA_RTOL. With
-    ``n_mc`` > 0 a Monte Carlo re-estimate of the bound at the solution is
-    attached (estimate and standard error), matching the simulation route for
-    computing the equivalent level.
+    whose bound is <= the target. The bound is built once per inversion (one
+    evaluation of the weights and noncentralities), so each bisection step
+    costs one noncentral chi-square quantile and one CDF; every value equals
+    type1_upper_bound at the same alpha_hat bit for bit. When the bound at
+    alpha_target already meets the target no inversion is needed and
+    alpha_target is returned; the degenerate flag is set only if the bound
+    there falls short of the target by more than the bisection's relative
+    resolution ALPHA_RTOL. With ``n_mc`` > 0 a Monte Carlo re-estimate of the
+    bound at the solution is attached (estimate and standard error), matching
+    the simulation route for computing the equivalent level.
     """
     if not 0.0 < alpha_target < 1.0:
         raise ValueError(f"alpha_target must be in (0,1), got {alpha_target}")
     if 0 < n_mc < 1000:
         raise ValueError(f"n_mc must be 0 or >= 1000, got {n_mc}")
 
+    bound = _type1_bound(inputs)
     hi = alpha_target
-    f_hi = type1_upper_bound(hi, inputs)
+    f_hi = bound(hi)
     if f_hi <= alpha_target:
         result = AlphaInversion(
             alpha_hat=alpha_target,
@@ -297,7 +322,7 @@ def equivalent_alpha(
         )
     else:
         lo = ALPHA_FLOOR
-        f_lo = type1_upper_bound(lo, inputs)
+        f_lo = bound(lo)
         if f_lo > alpha_target:
             # bound exceeds the target even at the floor: return the floor
             result = AlphaInversion(
@@ -305,8 +330,8 @@ def equivalent_alpha(
             )
         else:
             for _ in range(200):
-                mid = float(np.sqrt(lo * hi))  # bisect in log space
-                f_mid = type1_upper_bound(mid, inputs)
+                mid = math.sqrt(lo * hi)  # bisect in log space
+                f_mid = bound(mid)
                 if f_mid > alpha_target:
                     hi = mid
                 else:

@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 RETRY_DELAYS = (1.0, 2.0, 4.0)
+# Longest record line the regulator reads, newline excluded. A CR tuple at
+# d = 3 takes about 400 bytes; a longer line is rejected and its session closed.
+MAX_RECORD_BYTES = 64 * 1024
 
 
 @dataclass
@@ -91,6 +94,18 @@ class _AuditLog:
             self._fh.close()
 
 
+_OVERLONG = f"record longer than {MAX_RECORD_BYTES} bytes"
+
+
+def _overlong(line: bytes) -> bool:
+    """A line read to the full limit without reaching its newline.
+
+    Lines are read with ``readline(MAX_RECORD_BYTES + 1)``; one that ends
+    without a newline and is shorter was cut by EOF instead.
+    """
+    return len(line) > MAX_RECORD_BYTES and not line.endswith(b"\n")
+
+
 class _SessionHandler(socketserver.StreamRequestHandler):
     timeout = 120.0  # server-side read timeout per record
 
@@ -103,23 +118,27 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         except (socket.timeout, TimeoutError):
             logger.warning("session from %s timed out", peer)
 
+    def _reject(self, server: "RegulatorServer", uid: str, reason: str) -> None:
+        """Log and send a rejection verdict that answers no tuple."""
+        msg = encode_record(Verdict(uid=uid, w=-1, rho_hat=0, matched=False, reason=reason))
+        server.audit.append("TX", msg)
+        self.wfile.write(msg.encode() + b"\n")
+
     def _session_loop(self, server: "RegulatorServer", peer):
-        line = self.rfile.readline()
-        if not line.endswith(b"\n"):
+        line = self.rfile.readline(MAX_RECORD_BYTES + 1)
+        if not line.endswith(b"\n") and not _overlong(line):
             logger.warning("connection from %s closed before handshake", peer)
             return
         try:
+            if _overlong(line):
+                raise ProtocolError(_OVERLONG)
             hs = decode_record(line.rstrip(b"\n"))
             if not isinstance(hs, Handshake):
                 raise ProtocolError("first record must be a handshake")
             if not server.config.allows(hs.mode):
                 raise ProtocolError(f"mode {hs.mode!r} not allowed by this regulator")
         except ProtocolError as exc:
-            msg = encode_record(
-                Verdict(uid="?", w=-1, rho_hat=0, matched=False, reason=str(exc))
-            )
-            server.audit.append("TX", msg)
-            self.wfile.write(msg.encode() + b"\n")
+            self._reject(server, "?", str(exc))
             logger.warning("malformed handshake from %s: %s", peer, exc)
             return
 
@@ -128,9 +147,17 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         server.register_session(hs.uid, session)
         logger.info("session %s mode=%s d=%d p=%d", hs.uid, hs.mode, hs.d, hs.p)
         while not server.stopping.is_set():
-            line = self.rfile.readline()
+            line = self.rfile.readline(MAX_RECORD_BYTES + 1)
             if not line:
                 break  # client closed; partial epochs are simply never received
+            if _overlong(line):
+                # the rest of the line is never read, so the session ends here
+                logger.warning("session %s: %s, closing", hs.uid, _OVERLONG)
+                try:
+                    self._reject(server, hs.uid, _OVERLONG)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass
+                break
             if not line.endswith(b"\n"):
                 logger.warning("session %s: partial record at EOF discarded", hs.uid)
                 break

@@ -213,20 +213,24 @@ class UtilitySession:
             params=self.params,
         )
 
-    def _representative_inputs(self) -> BoundInputs:
-        """Inversion snapshot drawn from the trackers, not the current epoch."""
+    def _representative_inputs(self, tau_max: np.ndarray, r_max: float) -> BoundInputs:
+        """Inversion snapshot drawn from the trackers, not the current epoch.
+
+        ``tau_max`` and ``r_max`` are this epoch's window maxima, read once
+        per epoch by the caller.
+        """
         energies = sorted(self._energy_window)
         return BoundInputs(
             tau_cov_hat=self.tau_tracker.median_vector,
-            tau_cov_max=self.tau_tracker.max_vector,
+            tau_cov_max=tau_max,
             res_energy=energies[(len(energies) - 1) // 2],
-            r_max=self.r_tracker.max_norm,
+            r_max=r_max,
             d=self.d,
             params=self.params,
         )
 
-    def _alpha_hat(self) -> AlphaInversion:
-        cur_norm = self.tau_tracker.max_norm
+    def _alpha_hat(self, tau_max: np.ndarray, r_max: float) -> AlphaInversion:
+        cur_norm = float(np.sqrt(tau_max @ tau_max))
         stale = (
             self._alpha_cache is None
             or self._alpha_cache_norm <= 0.0
@@ -234,7 +238,7 @@ class UtilitySession:
         )
         if stale:
             self.last_inversion = equivalent_alpha(
-                self.alpha, self._representative_inputs(), n_mc=self.n_mc
+                self.alpha, self._representative_inputs(tau_max, r_max), n_mc=self.n_mc
             )
             self._alpha_cache = self.last_inversion
             self._alpha_cache_norm = cur_norm
@@ -249,17 +253,21 @@ class UtilitySession:
         fac_orig = eig_factorize(agg.s_w, count=params.p)
         vec_p, _ = fac_orig.retained()
         proj = vec_p.T @ agg.r_w
-        self._energy_window.append(float(proj @ proj))
+        res_energy = float(proj @ proj)
+        self._energy_window.append(res_energy)
+        # each window max is a scan of the whole window: read it once
+        tau_max = self.tau_tracker.max_vector
+        r_max = self.r_tracker.max_norm
 
         inputs = BoundInputs(
             tau_cov_hat=disc.tau_cov_hat,
-            tau_cov_max=self.tau_tracker.max_vector,
-            res_energy=float(proj @ proj),
-            r_max=self.r_tracker.max_norm,
+            tau_cov_max=tau_max,
+            res_energy=res_energy,
+            r_max=r_max,
             d=self.d,
             params=params,
         )
-        inversion = self._alpha_hat()
+        inversion = self._alpha_hat(tau_max, r_max)
         alpha_hat = inversion.alpha_hat
 
         sigma = disc.sigma
@@ -340,7 +348,12 @@ def verify_cr(tup: CrTuple, p: int) -> Verdict:
 
 
 def verify_pv(tup: PvTuple, p: int) -> Verdict:
-    """P-value verification against the scaled statistic's disclosed law."""
+    """P-value verification against the scaled statistic's disclosed law.
+
+    As in verify_cr, a disclosure whose law cannot be evaluated (e.g. a
+    noncentrality beyond the range of the noncentral chi-square ufuncs)
+    yields a typed rejection verdict rather than an exception.
+    """
     if not 0.0 < tup.alpha_hat < 1.0:
         return Verdict(
             uid=tup.uid,
@@ -353,9 +366,14 @@ def verify_pv(tup: PvTuple, p: int) -> Verdict:
         return Verdict(
             uid=tup.uid, w=tup.w, rho_hat=0, matched=False, reason="negative statistic"
         )
-    threshold = noncentral_chi2_quantile(tup.alpha_hat, p, tup.t_cov)
+    try:
+        threshold = noncentral_chi2_quantile(tup.alpha_hat, p, tup.t_cov)
+        pvalue = 1.0 - noncentral_chi2_cdf(tup.t_res, p, tup.t_cov)
+    except (ValueError, OverflowError) as exc:  # law outside the ufuncs' range
+        return Verdict(
+            uid=tup.uid, w=tup.w, rho_hat=0, matched=False, reason=f"malformed disclosure: {exc}"
+        )
     rho_hat = int(tup.t_res > threshold)
-    pvalue = 1.0 - noncentral_chi2_cdf(tup.t_res, p, tup.t_cov)
     return Verdict(
         uid=tup.uid,
         w=tup.w,
@@ -536,7 +554,10 @@ def _need(obj: dict, key: str, kind, path: str):
     if kind is float:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ProtocolError(f"{path}.{key}: expected number, got {type(val).__name__}")
-        val = float(val)
+        try:
+            val = float(val)
+        except OverflowError:  # an integer literal beyond float range
+            raise ProtocolError(f"{path}.{key}: number out of float range") from None
         if not math.isfinite(val):
             raise ProtocolError(f"{path}.{key}: non-finite number")
         return val
@@ -553,7 +574,11 @@ def _need(obj: dict, key: str, kind, path: str):
             raise ProtocolError(f"{path}.{key}: expected array, got {type(val).__name__}")
         out = []
         for i, x in enumerate(val):
-            if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+            try:
+                ok = not isinstance(x, bool) and isinstance(x, (int, float)) and math.isfinite(x)
+            except OverflowError:  # an integer literal beyond float range
+                ok = False
+            if not ok:
                 raise ProtocolError(f"{path}.{key}[{i}]: expected finite number")
             out.append(float(x))
         return out
@@ -563,9 +588,14 @@ def _need(obj: dict, key: str, kind, path: str):
 def decode_record(line: str | bytes) -> Handshake | CrTuple | PvTuple | Verdict:
     """Parse one wire line into a typed record.
 
+    Only ProtocolError leaves this function, whatever the line holds, and a
+    decoded record always re-encodes.
+
     Raises:
-        ProtocolError: truncated/malformed JSON, bad version, schema
-            violation, or non-finite numbers — with the offending field path.
+        ProtocolError: truncated/malformed JSON (including nesting too deep
+            to parse and integer literals too long to convert), bad version,
+            schema violation, or numbers that are non-finite or beyond float
+            range — with the offending field path.
     """
     if isinstance(line, bytes):
         try:
@@ -574,7 +604,7 @@ def decode_record(line: str | bytes) -> Handshake | CrTuple | PvTuple | Verdict:
             raise ProtocolError(f"invalid utf-8: {exc}") from exc
     try:
         obj = json.loads(line, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"malformed record: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(f"record must be an object, got {type(obj).__name__}")
@@ -603,8 +633,12 @@ def decode_record(line: str | bytes) -> Handshake | CrTuple | PvTuple | Verdict:
             raise ProtocolError("handshake.params: expected object")
         try:
             params = PrivacyParams.from_flat(raw)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ProtocolError(f"handshake.params: {exc}") from exc
+        for key, val in params.to_flat().items():
+            # e.g. "sigma": "nan", or a sigma_min that overflows
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ProtocolError(f"handshake.params.{key}: non-finite number")
         if d < 1 or p < 1 or p > d or epoch_len < 1:
             raise ProtocolError(f"handshake: invalid dims d={d} p={p} W={epoch_len}")
         return Handshake(

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from dpalarm.bounds import (
+    ALPHA_FLOOR,
+    ALPHA_RTOL,
     BoundInputs,
     BoundReport,
     NormTracker,
@@ -359,3 +361,68 @@ class TestBoundReport:
         )
         flat = report.to_flat()
         assert set(flat.keys()) == set(BoundReport.FIELDS)
+
+
+def reference_inversion(alpha_target, inputs):
+    """equivalent_alpha's bisection (n_mc=0) written on the public bound."""
+    hi = alpha_target
+    f_hi = type1_upper_bound(hi, inputs)
+    if f_hi <= alpha_target:
+        return hi, f_hi, f_hi < alpha_target * (1.0 - ALPHA_RTOL), "met"
+    lo = ALPHA_FLOOR
+    f_lo = type1_upper_bound(lo, inputs)
+    if f_lo > alpha_target:
+        return lo, f_lo, True, "floor"
+    for _ in range(200):
+        mid = float(np.sqrt(lo * hi))
+        f_mid = type1_upper_bound(mid, inputs)
+        if f_mid > alpha_target:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+        if hi / lo < 1.0 + ALPHA_RTOL:
+            break
+    return lo, f_lo, False, "bisection"
+
+
+def inversion_grid():
+    """Inputs and targets that reach every branch of the inversion."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for p in (1, 2, 3):
+        for inflate in (1.0, 1.5, 3.0, 300.0):  # 300: bound above target at the floor
+            for res_energy, r_max in ((1.0, 1.0), (2.0, 1.0), (0.3, 2.0), (0.0, 0.0), (1.0, 0.0)):
+                tau = rng.normal(size=p)
+                inputs = make_inputs(
+                    tau, tau_max=tau * inflate, res_energy=res_energy, r_max=r_max,
+                    p=p, gamma_cov=0.05,
+                )
+                for target in (0.01, 0.05, 0.2):
+                    cases.append((target, inputs))
+    return cases
+
+
+class TestInversionMatchesPublicBound:
+    def test_bit_identical_to_reference_bisection(self):
+        branches = set()
+        for target, inputs in inversion_grid():
+            alpha_hat, achieved, degenerate, branch = reference_inversion(target, inputs)
+            inv = equivalent_alpha(target, inputs, n_mc=0)
+            assert (inv.alpha_hat, inv.achieved, inv.degenerate) == (alpha_hat, achieved, degenerate)
+            branches.add((branch, degenerate))
+        # normal bisection, a met target, a degenerate target and the floor all occur
+        assert branches >= {("bisection", False), ("met", False), ("met", True), ("floor", True)}
+
+    def test_weights_evaluated_once_per_inversion(self, monkeypatch):
+        calls = []
+        weights = BoundInputs._weights
+
+        def counting(self):
+            calls.append(1)
+            return weights(self)
+
+        monkeypatch.setattr(BoundInputs, "_weights", counting)
+        for target, inputs in inversion_grid()[:24]:
+            calls.clear()
+            equivalent_alpha(target, inputs, n_mc=0)
+            assert len(calls) == 1

@@ -11,6 +11,7 @@ import pytest
 from dpalarm.config import default_scenario, reference_params
 from dpalarm.ekf import residuals_to_csv
 from dpalarm.netsvc import (
+    MAX_RECORD_BYTES,
     HarnessConfig,
     RegulatorConfig,
     RegulatorServer,
@@ -21,7 +22,7 @@ from dpalarm.netsvc import (
 from dpalarm.pipeline import residual_stream
 from dpalarm.plant import AttackSpec
 from dpalarm.privacy import PrivacyParams
-from dpalarm.protocol import decode_record, encode_record, Handshake, Verdict
+from dpalarm.protocol import CrTuple, decode_record, encode_record, Handshake, Verdict
 
 logging.getLogger("dpalarm.netsvc").setLevel(logging.ERROR)
 
@@ -265,3 +266,55 @@ def test_import_loads_no_scipy_optimize_or_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+class TestHostileRecords:
+    """A bad record gets a logged rejection; it never kills the session thread."""
+
+    @staticmethod
+    def _cr_line(uid, w):
+        # identity covariance: statistic 1 against threshold 10, no alarm
+        tup = CrTuple(uid=uid, w=w, s_hat=np.eye(3), tau_rg=np.array([1.0, 0.0, 0.0]),
+                      threshold=10.0, rho=0)
+        return encode_record(tup).encode()
+
+    def test_overflowing_tuple_then_valid_tuple(self, server):
+        hs = Handshake(uid="ox", mode="cr", d=3, p=3, epoch_len=10, params=quiet_params())
+        big = b"1" + b"0" * 400
+        with socket.create_connection(server.address, timeout=30) as sock:
+            fh = sock.makefile("rwb")
+            fh.write(encode_record(hs).encode() + b"\n")
+            fh.write(self._cr_line("ox", 0).replace(b'"thr":10', b'"thr":' + big) + b"\n")
+            fh.write(b'{"v":1,"mode":"cr","s_hat":' + b"[" * 5000 + b"\n")
+            fh.write(self._cr_line("ox", 0) + b"\n")
+            fh.flush()
+            bad = decode_record(fh.readline().rstrip(b"\n"))
+            deep = decode_record(fh.readline().rstrip(b"\n"))
+            good = decode_record(fh.readline().rstrip(b"\n"))
+        assert bad.rejected and "cr.thr" in bad.reason
+        assert deep.rejected and "malformed record" in deep.reason
+        assert not good.rejected and good.matched and good.w == 0
+        # each verdict is logged before it is sent
+        tx = [ln for ln in Path(server.config.audit_path).read_text().splitlines() if " TX " in ln]
+        assert len(tx) == 3 and "cr.thr" in tx[0]
+
+    def test_overlong_line_rejected_and_session_closed(self, server):
+        hs = Handshake(uid="lx", mode="cr", d=3, p=3, epoch_len=10, params=quiet_params())
+        line = self._cr_line("lx", 0)
+        at_limit = b" " * (MAX_RECORD_BYTES - len(line)) + line  # JSON allows leading blanks
+        with socket.create_connection(server.address, timeout=30) as sock:
+            fh = sock.makefile("rwb")
+            fh.write(encode_record(hs).encode() + b"\n")
+            fh.write(at_limit + b"\n")
+            # exactly one byte over the limit and no newline: every byte sent
+            # is read, so the server's close is a FIN and the verdict arrives
+            fh.write(b" " * (MAX_RECORD_BYTES + 1))
+            fh.flush()
+            accepted = decode_record(fh.readline().rstrip(b"\n"))
+            rejected = decode_record(fh.readline().rstrip(b"\n"))
+            assert fh.readline() == b""  # session closed
+        assert not accepted.rejected and accepted.matched
+        assert rejected.rejected and str(MAX_RECORD_BYTES) in rejected.reason
+        audit = Path(server.config.audit_path).read_text().splitlines()
+        assert audit[-1].split(" ", 2)[1] == "TX" and str(MAX_RECORD_BYTES) in audit[-1]
+        assert replay_audit(server.config.audit_path) == [(audit[-2].split(" ", 2)[2],) * 2]

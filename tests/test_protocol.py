@@ -389,3 +389,66 @@ class TestWireFormat:
         line = encode_record(tup)
         assert "0.30000000000000004" in line
         assert decode_record(line).t_res == val
+
+
+class TestDecoderHardening:
+    """Only ProtocolError leaves decode_record, with the field path."""
+
+    BIG = "1" + "0" * 400  # an integer literal beyond float range
+
+    def _handshake_line(self):
+        hs = Handshake(uid="u", mode="pv", d=3, p=3, epoch_len=10, params=make_params())
+        return encode_record(hs)
+
+    def test_overflow_scalar_field(self):
+        line = '{"v":1,"mode":"pv","uid":"u","w":0,"t_res":%s,"t_cov":1,"alpha_hat":0.1,"rho":0}'
+        with pytest.raises(ProtocolError, match=r"pv\.t_res: number out of float range"):
+            decode_record(line % self.BIG)
+        verdict = '{"v":1,"uid":"u","w":0,"rho_hat":0,"matched":1,"pvalue":%s}'
+        with pytest.raises(ProtocolError, match=r"verdict\.pvalue"):
+            decode_record(verdict % self.BIG)
+
+    def test_overflow_array_element(self):
+        line = '{"v":1,"mode":"cr","uid":"u","w":0,"s_hat":[1,%s,0,1],"tau_rg":[1,1],"thr":1,"rho":0}'
+        with pytest.raises(ProtocolError, match=r"cr\.s_hat\[1\]"):
+            decode_record(line % self.BIG)
+
+    def test_overflow_handshake_params(self):
+        line = self._handshake_line()
+        with pytest.raises(ProtocolError, match=r"handshake\.params"):
+            decode_record(line.replace('"eps_cov":100', '"eps_cov":' + self.BIG))
+        with pytest.raises(ProtocolError, match=r"handshake\.params"):
+            decode_record(line.replace('"use_calibration":0', '"use_calibration":1e400'))
+
+    def test_nonfinite_handshake_params(self):
+        # accepted by from_flat, but the handshake could not be re-encoded
+        line = self._handshake_line()
+        sigma = line.split('"sigma":')[1].split(",")[0]
+        with pytest.raises(ProtocolError, match=r"handshake\.params\.sigma: non-finite"):
+            decode_record(line.replace(sigma, '"nan"'))
+        with pytest.raises(ProtocolError, match=r"handshake\.params\.eps_r: non-finite"):
+            decode_record(line.replace('"eps_r":0.5', '"eps_r":"inf"'))
+
+    def test_deep_nesting(self):
+        for line in ("[" * 5000, '{"v":1,"mode":"cr","s_hat":' + "[" * 5000):
+            with pytest.raises(ProtocolError, match="malformed record"):
+                decode_record(line)
+            with pytest.raises(ProtocolError, match="malformed record"):
+                decode_record(line.encode())
+
+    def test_integer_literal_too_long_to_convert(self):
+        with pytest.raises(ProtocolError, match="malformed record"):
+            decode_record('{"v":1' + "0" * 5000 + "}")
+
+
+class TestVerifyPvOutOfRange:
+    def test_noncentrality_beyond_ufunc_range_is_rejected(self):
+        # chndtrix gives NaN at this noncentrality; verification must not raise
+        for t_cov in (1e12, 1e300):
+            tup = PvTuple(uid="u", w=0, t_res=1.0, t_cov=t_cov, alpha_hat=0.05, rho=0)
+            v = verify_pv(tup, 3)
+            assert v.rejected and "malformed disclosure" in v.reason
+
+    def test_dof_beyond_float_range_is_rejected(self):
+        tup = PvTuple(uid="u", w=0, t_res=1.0, t_cov=0.0, alpha_hat=0.05, rho=0)
+        assert verify_pv(tup, 10**400).rejected
