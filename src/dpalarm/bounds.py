@@ -58,43 +58,54 @@ ALPHA_RTOL = 1e-12
 class NormTracker:
     """Sliding-window tracker of the max-2-norm vector seen recently.
 
-    Ring buffer of the last ``window`` vectors; the current max is the
-    stored vector of largest 2-norm, ties broken by the most recent insert.
+    Holds the last ``window`` vectors, each with its squared 2-norm computed
+    once on push. The current max is the stored vector of largest 2-norm,
+    ties broken by the most recent insert. A monotonic queue keeps it at the
+    front: entries are (push index, squared norm, vector) with norms strictly
+    decreasing from front to back, so reading the max costs O(1) and a push
+    costs amortized O(1).
     """
 
     def __init__(self, window: int = 50):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
-        self._buf: deque[np.ndarray] = deque(maxlen=window)
+        self._buf: deque[tuple[float, np.ndarray]] = deque(maxlen=window)
+        self._maxq: deque[tuple[int, float, np.ndarray]] = deque()
+        self._pushed = 0
 
     def push(self, vec: np.ndarray) -> None:
         vec = np.asarray(vec, dtype=float)
-        if self._buf and vec.shape != self._buf[0].shape:
+        if self._buf and vec.shape != self._buf[0][1].shape:
             raise ValueError(
-                f"vector length {vec.shape} does not match tracker {self._buf[0].shape}"
+                f"vector length {vec.shape} does not match tracker {self._buf[0][1].shape}"
             )
-        self._buf.append(vec.copy())
+        vec = vec.copy()
+        sq = float(vec @ vec)
+        self._buf.append((sq, vec))
+        maxq = self._maxq
+        while maxq and maxq[-1][1] <= sq:  # later entries win ties
+            maxq.pop()
+        maxq.append((self._pushed, sq, vec))
+        if maxq[0][0] <= self._pushed - self.window:  # left the window
+            maxq.popleft()
+        self._pushed += 1
 
     def __len__(self) -> int:
         return len(self._buf)
 
-    @property
-    def max_vector(self) -> np.ndarray:
+    def _front(self) -> tuple[int, float, np.ndarray]:
         if not self._buf:
             raise ValueError("tracker is empty; run warm-up epochs first")
-        best = None
-        best_norm = -1.0
-        for v in self._buf:  # later entries win ties
-            n = float(v @ v)
-            if n >= best_norm:
-                best, best_norm = v, n
-        return best.copy()
+        return self._maxq[0]
+
+    @property
+    def max_vector(self) -> np.ndarray:
+        return self._front()[2].copy()
 
     @property
     def max_norm(self) -> float:
-        v = self.max_vector
-        return float(np.sqrt(v @ v))
+        return math.sqrt(self._front()[1])
 
     @property
     def median_vector(self) -> np.ndarray:
@@ -108,9 +119,9 @@ class NormTracker:
         """
         if not self._buf:
             raise ValueError("tracker is empty; run warm-up epochs first")
-        norms = [float(v @ v) for v in self._buf]
+        norms = [sq for sq, _ in self._buf]
         order = int(np.argsort(norms, kind="stable")[(len(norms) - 1) // 2])
-        return self._buf[order].copy()
+        return self._buf[order][1].copy()
 
 
 def _clamp01(x: float) -> float:

@@ -31,10 +31,10 @@ from .config import (
     params_hash,
     parse_params_text,
 )
-from .ekf import ResidualRecord, residuals_from_csv, residuals_to_csv, run_filter, plant_model, EkfBelief
+from .ekf import ResidualRecord, residuals_from_csv, residuals_to_csv
 from .netsvc import RegulatorConfig, run_utility_client, serve_regulator
-from .pipeline import PipelineEpoch, run_pipeline
-from .plant import generate_trace, trace_to_csv
+from .pipeline import PipelineEpoch, run_pipeline, simulated_stream
+from .plant import trace_to_csv
 from .privacy import PrivacyParams
 from .stats import eig_factorize, noncentral_chi2_cdf
 
@@ -96,20 +96,20 @@ def cmd_simulate(
     out_dir: Path,
     export_residuals: bool = False,
 ) -> list[Path]:
-    """Emit a plant trace CSV (and optionally the filter's residual CSV)."""
+    """Emit a plant trace CSV (and optionally the filter's residual CSV).
+
+    Both hold the n_steps steps after the warm-up of ``simulated_stream``, so
+    the residual CSV is the stream ``client --source sim`` discloses for the
+    same seed.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace = generate_trace(scenario.plant, scenario.attack, n_steps, seed)
+    trace, records = simulated_stream(scenario, n_steps, seed)
     paths = []
     trace_path = out_dir / "trace.csv"
     with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
         trace_to_csv(trace, fh)
     paths.append(trace_path)
     if export_residuals:
-        model = plant_model(scenario.plant)
-        initial = EkfBelief(x_hat=np.zeros(scenario.plant.m), cov=1e-3 * np.eye(scenario.plant.m))
-        records = run_filter(
-            trace, model, scenario.plant.process_cov, scenario.plant.measurement_cov, initial
-        )
         res_path = out_dir / "residuals.csv"
         with open(res_path, "w", encoding="utf-8", newline="\n") as fh:
             residuals_to_csv(records, fh)

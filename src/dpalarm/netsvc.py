@@ -2,10 +2,11 @@
 
 Transport is a TCP stream of newline-delimited wire records (see
 ``protocol``): per session, one handshake line, then one tuple line per epoch
-answered by one verdict line. The regulator handles sessions concurrently and
-independently; per-session processing is sequential in epoch order. Every
-received tuple and sent verdict is appended to an audit log that can be
-replayed offline to reproduce the verdicts byte-exactly.
+answered by one verdict line. The regulator handles up to ``MAX_SESSIONS``
+sessions concurrently and independently; per-session processing is
+sequential in epoch order. Every received tuple and sent verdict is appended
+to an audit log that can be replayed offline to reproduce the verdicts
+byte-exactly.
 
 Audit line format: ``<ISO-8601 timestamp> <RX|TX> <wire record>``.
 """
@@ -57,6 +58,9 @@ RETRY_DELAYS = (1.0, 2.0, 4.0)
 # Longest record line the regulator reads, newline excluded. A CR tuple at
 # d = 3 takes about 400 bytes; a longer line is rejected and its session closed.
 MAX_RECORD_BYTES = 64 * 1024
+# Most sessions a regulator serves at once; a connection over the cap is
+# answered with a logged rejection verdict and closed.
+MAX_SESSIONS = 64
 
 
 @dataclass
@@ -113,10 +117,20 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         server: RegulatorServer = self.server  # type: ignore[assignment]
         peer = self.client_address
         self.connection.settimeout(self.timeout)
+        if not server.open_session():
+            reason = f"session limit of {MAX_SESSIONS} reached"
+            logger.warning("connection from %s refused: %s", peer, reason)
+            try:
+                self._reject(server, "?", reason)
+            except OSError:
+                pass
+            return
         try:
             self._session_loop(server, peer)
         except (socket.timeout, TimeoutError):
             logger.warning("session from %s timed out", peer)
+        finally:
+            server.close_session()
 
     def _reject(self, server: "RegulatorServer", uid: str, reason: str) -> None:
         """Log and send a rejection verdict that answers no tuple."""
@@ -144,7 +158,6 @@ class _SessionHandler(socketserver.StreamRequestHandler):
 
         server.audit.append("RX", encode_record(hs))
         session = RegulatorSession(hs)
-        server.register_session(hs.uid, session)
         logger.info("session %s mode=%s d=%d p=%d", hs.uid, hs.mode, hs.d, hs.p)
         while not server.stopping.is_set():
             line = self.rfile.readline(MAX_RECORD_BYTES + 1)
@@ -200,12 +213,20 @@ class RegulatorServer(socketserver.ThreadingTCPServer):
         self.config = config
         self.audit = _AuditLog(config.audit_path)
         self.stopping = threading.Event()
-        self.sessions: dict[str, RegulatorSession] = {}
         self._sessions_lock = threading.Lock()
+        self.active_sessions = 0
 
-    def register_session(self, uid: str, session: RegulatorSession) -> None:
+    def open_session(self) -> bool:
+        """Take a session slot; False when ``MAX_SESSIONS`` are already open."""
         with self._sessions_lock:
-            self.sessions[uid] = session
+            if self.active_sessions >= MAX_SESSIONS:
+                return False
+            self.active_sessions += 1
+            return True
+
+    def close_session(self) -> None:
+        with self._sessions_lock:
+            self.active_sessions -= 1
 
     @property
     def address(self) -> tuple[str, int]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .ekf import EkfBelief, ResidualRecord, plant_model, run_filter
-from .plant import generate_trace
+from .plant import TraceStep, generate_trace
 from .privacy import PrivacyParams
 from .protocol import (
     EpochAggregate,
@@ -27,6 +27,7 @@ from .protocol import (
 
 __all__ = [
     "derive_seed",
+    "simulated_stream",
     "residual_stream",
     "epoch_stream",
     "PipelineEpoch",
@@ -39,14 +40,16 @@ def derive_seed(master_seed: int, *keys: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(int(k) for k in keys))
 
 
-def residual_stream(
+def simulated_stream(
     scenario: ScenarioConfig, n_steps: int, seed: int, utility_index: int = 0
-) -> list[ResidualRecord]:
+) -> tuple[list[TraceStep], list[ResidualRecord]]:
     """Simulate the plant and run the filter; warm-up steps are discarded.
 
-    The filter is initialized at the true initial state with a small prior
-    covariance; the warm-up period absorbs the remaining transient before
-    records are handed to epoching.
+    Returns the plant steps and the filter's residual records of the n_steps
+    steps after the warm-up, one of each per step. The filter is initialized
+    at the true initial state with a small prior covariance; the warm-up
+    period absorbs the remaining transient before records are handed to
+    epoching.
     """
     spec = scenario.plant
     total = n_steps + scenario.warmup_steps
@@ -57,7 +60,14 @@ def residual_stream(
     model = plant_model(spec)
     initial = EkfBelief(x_hat=np.zeros(spec.m), cov=1e-3 * np.eye(spec.m))
     records = run_filter(trace, model, spec.process_cov, spec.measurement_cov, initial)
-    return records[scenario.warmup_steps :]
+    return trace[scenario.warmup_steps :], records[scenario.warmup_steps :]
+
+
+def residual_stream(
+    scenario: ScenarioConfig, n_steps: int, seed: int, utility_index: int = 0
+) -> list[ResidualRecord]:
+    """The residual records of ``simulated_stream``: what a utility discloses."""
+    return simulated_stream(scenario, n_steps, seed, utility_index)[1]
 
 
 def epoch_stream(

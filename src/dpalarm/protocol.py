@@ -54,6 +54,9 @@ __all__ = [
 
 PROTOCOL_VERSION = 1
 ALPHA_RECOMPUTE_DRIFT = 0.10  # refresh alpha_hat when tau_max norm moves >10%
+# Most accepted epoch indices a regulator session holds outside its contiguous
+# run; a tuple that would hold one more is rejected.
+MAX_OUT_OF_ORDER = 1024
 
 
 class ProtocolError(ValueError):
@@ -230,7 +233,7 @@ class UtilitySession:
         )
 
     def _alpha_hat(self, tau_max: np.ndarray, r_max: float) -> AlphaInversion:
-        cur_norm = float(np.sqrt(tau_max @ tau_max))
+        cur_norm = self.tau_tracker.max_norm
         stale = (
             self._alpha_cache is None
             or self._alpha_cache_norm <= 0.0
@@ -255,7 +258,6 @@ class UtilitySession:
         proj = vec_p.T @ agg.r_w
         res_energy = float(proj @ proj)
         self._energy_window.append(res_energy)
-        # each window max is a scan of the whole window: read it once
         tau_max = self.tau_tracker.max_vector
         r_max = self.r_tracker.max_norm
 
@@ -392,7 +394,10 @@ class RegulatorSession:
     index yields a rejection verdict (at-most-once per (uid, w)). Accepted
     indices are held as the contiguous run [first, next) that starts at the
     first accepted index, plus the set of accepted indices outside it, so an
-    in-order stream keeps O(1) state.
+    in-order stream keeps O(1) state. That set holds at most
+    ``MAX_OUT_OF_ORDER`` indices: a tuple that would grow it further is
+    rejected. A CR tuple whose dimensions differ from the handshake's d is
+    rejected too.
     """
 
     def __init__(self, handshake: Handshake):
@@ -406,6 +411,14 @@ class RegulatorSession:
 
     def _seen(self, w: int) -> bool:
         return self._first <= w < self._next or w in self._out_of_order
+
+    def _backlog_full(self, w: int) -> bool:
+        """Accepting ``w`` would grow the out-of-order set past its cap."""
+        return (
+            self._first != self._next
+            and w != self._next
+            and len(self._out_of_order) >= MAX_OUT_OF_ORDER
+        )
 
     def _mark_seen(self, w: int) -> None:
         if self._first == self._next:  # nothing accepted yet
@@ -428,10 +441,30 @@ class RegulatorSession:
             verdict = Verdict(
                 uid=tup.uid, w=tup.w, rho_hat=0, matched=False, reason="duplicate epoch index"
             )
+        elif self._backlog_full(tup.w):
+            verdict = Verdict(
+                uid=tup.uid,
+                w=tup.w,
+                rho_hat=0,
+                matched=False,
+                reason=f"out-of-order backlog full: {MAX_OUT_OF_ORDER} epochs",
+            )
         elif isinstance(tup, CrTuple):
+            d = self.handshake.d
             if self.handshake.mode != "cr":
                 verdict = Verdict(
                     uid=tup.uid, w=tup.w, rho_hat=0, matched=False, reason="mode mismatch"
+                )
+            elif np.shape(tup.s_hat) != (d, d) or np.shape(tup.tau_rg) != (d,):
+                verdict = Verdict(
+                    uid=tup.uid,
+                    w=tup.w,
+                    rho_hat=0,
+                    matched=False,
+                    reason=(
+                        f"dimension mismatch: s_hat {np.shape(tup.s_hat)}, "
+                        f"tau_rg {np.shape(tup.tau_rg)}, handshake d={d}"
+                    ),
                 )
             else:
                 verdict = verify_cr(tup, self.handshake.p)

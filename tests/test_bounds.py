@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpalarm.bounds import (
     ALPHA_FLOOR,
@@ -17,7 +19,7 @@ from dpalarm.bounds import (
 )
 from dpalarm.privacy import PrivacyParams, gaussian_sum_bound, laplace_max_bound, perturb_covariance
 from dpalarm.stats import eig_factorize, whiten
-from conftest import random_psd
+from conftest import ScanNormTracker, random_psd
 
 
 def make_inputs(
@@ -103,6 +105,30 @@ class TestNormTracker:
         tr.push(np.zeros(2))
         with pytest.raises(ValueError):
             tr.push(np.zeros(3))
+
+    # Entries from a few values, so distinct vectors often share a norm
+    # (permutations, sign flips) and ties and evictions of the max are common.
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(
+        st.integers(1, 8),
+        st.lists(
+            st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.0, 0.1]), min_size=2, max_size=2),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    def test_matches_window_scan(self, window, pushes):
+        tr, ref = NormTracker(window), ScanNormTracker(window)
+        for vec in pushes:
+            tr.push(np.array(vec))
+            ref.push(np.array(vec))
+            assert len(tr) == len(ref)
+            got = tr.max_vector
+            assert np.array_equal(got, ref.max_vector)
+            assert tr.max_norm == ref.max_norm
+            assert np.array_equal(tr.median_vector, ref.median_vector)
+            got[:] = 99.0  # reads are copies
+            assert np.array_equal(tr.max_vector, ref.max_vector)
 
 
 class TestCovGapBound:

@@ -21,7 +21,9 @@ from dpalarm.config import (
     parse_params_text,
 )
 from dpalarm.bounds import BoundReport
-from dpalarm.plant import AttackSpec
+from dpalarm.ekf import residuals_from_csv
+from dpalarm.pipeline import residual_stream
+from dpalarm.plant import AttackSpec, trace_from_csv
 from dpalarm.privacy import PrivacyParams
 
 
@@ -66,6 +68,23 @@ class TestSimulate:
         header, rows = read_csv(paths[0])
         assert header == ["t", "x1", "x2", "y1", "y2", "y3"]
         assert len(rows) == 120
+
+    def test_residuals_are_the_disclosed_stream(self, tmp_path):
+        # the records `client --source sim --seed 3` would epoch and disclose
+        sc = default_scenario()
+        paths = cmd_simulate(sc, 120, seed=3, out_dir=tmp_path, export_residuals=True)
+        with open(paths[1], encoding="utf-8") as fh:
+            written = residuals_from_csv(fh)
+        expected = residual_stream(sc, 120, seed=3)
+        assert len(written) == len(expected) == 120
+        for got, want in zip(written, expected):
+            assert got.t == want.t
+            assert np.array_equal(got.r, want.r) and np.array_equal(got.s, want.s)
+        # the trace rows are the steps the residuals came from
+        with open(paths[0], encoding="utf-8") as fh:
+            trace = trace_from_csv(fh)
+        assert [step.t for step in trace] == [rec.t for rec in expected]
+        assert all(np.array_equal(step.y, rec.y) for step, rec in zip(trace, expected))
 
 
 class TestSweep:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dpalarm import netsvc
 from dpalarm.config import default_scenario, reference_params
 from dpalarm.ekf import residuals_to_csv
 from dpalarm.netsvc import (
@@ -318,3 +319,52 @@ class TestHostileRecords:
         audit = Path(server.config.audit_path).read_text().splitlines()
         assert audit[-1].split(" ", 2)[1] == "TX" and str(MAX_RECORD_BYTES) in audit[-1]
         assert replay_audit(server.config.audit_path) == [(audit[-2].split(" ", 2)[2],) * 2]
+
+
+class TestSessionLimit:
+    """Connections over ``MAX_SESSIONS`` are refused; ended sessions free a slot."""
+
+    @staticmethod
+    def _open_session(server, uid):
+        sock = socket.create_connection(server.address, timeout=30)
+        fh = sock.makefile("rwb")
+        hs = Handshake(uid=uid, mode="cr", d=3, p=3, epoch_len=10, params=quiet_params())
+        fh.write(encode_record(hs).encode() + b"\n")
+        fh.write(TestHostileRecords._cr_line(uid, 0) + b"\n")
+        fh.flush()
+        verdict = decode_record(fh.readline().rstrip(b"\n"))
+        assert not verdict.rejected and verdict.matched  # the session holds its slot
+        return sock, fh
+
+    @staticmethod
+    def _wait_for(cond, timeout=10.0):
+        deadline = time.monotonic() + timeout
+        while not cond():
+            assert time.monotonic() < deadline, "regulator did not release the session"
+            time.sleep(0.01)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_over_cap_rejected_then_slot_reused(self, server, monkeypatch, cap):
+        monkeypatch.setattr(netsvc, "MAX_SESSIONS", cap)
+        held = []
+        try:
+            held += [self._open_session(server, f"s{j}") for j in range(cap)]
+            assert server.active_sessions == cap
+            with socket.create_connection(server.address, timeout=30) as sock:
+                fh = sock.makefile("rb")
+                refused = decode_record(fh.readline().rstrip(b"\n"))
+                assert fh.readline() == b""  # closed by the regulator
+            assert refused.rejected and refused.reason == f"session limit of {cap} reached"
+            audit = Path(server.config.audit_path).read_text().splitlines()
+            assert audit[-1].split(" ", 2)[1] == "TX" and "session limit" in audit[-1]
+
+            for conn in held.pop():
+                conn.close()
+            self._wait_for(lambda: server.active_sessions == cap - 1)
+            held.append(self._open_session(server, "again"))
+            assert server.active_sessions == cap
+        finally:
+            for sock, fh in held:
+                fh.close()
+                sock.close()
+        self._wait_for(lambda: server.active_sessions == 0)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from dpalarm import protocol
+from dpalarm.config import default_scenario, reference_params
 from dpalarm.ekf import ResidualRecord
+from dpalarm.pipeline import derive_seed, epoch_stream, residual_stream
 from dpalarm.privacy import PrivacyParams
 from dpalarm.protocol import (
     CrTuple,
@@ -18,7 +21,7 @@ from dpalarm.protocol import (
     verify_pv,
 )
 from dpalarm.stats import central_chi2_quantile, noncentral_chi2_quantile
-from conftest import random_psd
+from conftest import ScanNormTracker, random_psd
 
 
 def make_records(rng, n, d=3, t0=1, scale=0.1):
@@ -247,6 +250,27 @@ class TestRegulatorSession:
         tup = CrTuple(uid="other", w=0, s_hat=np.eye(3), tau_rg=np.zeros(3), threshold=1.0, rho=0)
         assert sess.verify(tup).rejected
 
+    @pytest.mark.parametrize(
+        "s_hat, tau_rg",
+        [
+            (np.eye(5), np.ones(5)),  # a well-formed d=5 disclosure
+            (np.eye(2), np.ones(2)),
+            (np.eye(3), np.ones(4)),
+            (np.eye(4)[:3], np.ones(3)),
+        ],
+    )
+    def test_cr_dimension_mismatch_rejected(self, s_hat, tau_rg):
+        sess = RegulatorSession(self._handshake())
+        bad = CrTuple(uid="u0", w=0, s_hat=s_hat, tau_rg=tau_rg, threshold=100.0, rho=0)
+        verdict = sess.verify(bad)
+        assert verdict.rejected and not verdict.matched
+        assert verdict.reason.startswith("dimension mismatch") and "d=3" in verdict.reason
+        # not marked seen: the right-sized tuple for the same epoch is verified
+        good = CrTuple(uid="u0", w=0, s_hat=np.eye(3), tau_rg=np.ones(3), threshold=100.0, rho=0)
+        assert sess.verify(good) == Verdict(
+            uid="u0", w=0, rho_hat=0, matched=True, t_res_hat=3.0, threshold=100.0
+        )
+
 
 class TestRegulatorDuplicateTracking:
     """Accept/reject decisions of the range-plus-set tracker match a plain set."""
@@ -299,6 +323,28 @@ class TestRegulatorDuplicateTracking:
         assert sess.verify(self._pv(2, alpha_hat=0.0)).rejected
         assert self._reasons(sess, [1, 2]) == [None, None]
         assert (sess._first, sess._next, sess._out_of_order) == (0, 3, set())
+
+    def test_out_of_order_backlog_capped(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_OUT_OF_ORDER", 3)
+        sess = self._session()
+        assert self._reasons(sess, [0, 2, 4, 6]) == [None] * 4
+        assert sess._out_of_order == {2, 4, 6}
+        full = "out-of-order backlog full: 3 epochs"
+        assert self._reasons(sess, [8, 9, 8]) == [full] * 3
+        # duplicates are still named as such, and the in-order index is accepted
+        assert self._reasons(sess, [4, 1]) == ["duplicate epoch index", None]
+        assert (sess._next, sess._out_of_order) == (3, {4, 6})
+        assert self._reasons(sess, [8, 9]) == [None, full]
+        assert self._reasons(sess, [3, 5, 7, 9]) == [None] * 4
+        assert (sess._first, sess._next, sess._out_of_order) == (0, 10, set())
+
+    def test_strided_stream_state_bounded(self):
+        sess = self._session()
+        reasons = self._reasons(sess, range(0, 4 * 2000, 4))
+        cap = protocol.MAX_OUT_OF_ORDER
+        assert reasons[: cap + 1] == [None] * (cap + 1)
+        assert set(reasons[cap + 1 :]) == {f"out-of-order backlog full: {cap} epochs"}
+        assert len(sess._out_of_order) == cap
 
     def test_matches_plain_set(self, rng):
         sess, seen = self._session(), set()
@@ -452,3 +498,47 @@ class TestVerifyPvOutOfRange:
     def test_dof_beyond_float_range_is_rejected(self):
         tup = PvTuple(uid="u", w=0, t_res=1.0, t_cov=0.0, alpha_hat=0.05, rho=0)
         assert verify_pv(tup, 10**400).rejected
+
+
+class TestCachedTrackerEquivalence:
+    """process_epoch gives the same wire bytes with the window-scan tracker."""
+
+    N_EPOCHS = 400
+
+    @pytest.fixture(scope="class")
+    def aggs(self):
+        sc = default_scenario()
+        records = residual_stream(sc, self.N_EPOCHS * sc.epoch_len, seed=21)
+        return epoch_stream(records, sc)
+
+    def _wire_lines(self, aggs, mode, monkeypatch):
+        inversions = []
+        inner = protocol.equivalent_alpha
+
+        def counting(*args, **kw):
+            inversions.append(1)
+            return inner(*args, **kw)
+
+        monkeypatch.setattr(protocol, "equivalent_alpha", counting)
+        sc = default_scenario()
+        session = UtilitySession(
+            uid="u0", mode=mode, params=reference_params(), d=sc.plant.d, alpha=sc.alpha,
+            rng=np.random.default_rng(derive_seed(21, 0, 1)), epoch_len=sc.epoch_len,
+        )
+        regulator = RegulatorSession(session.handshake())
+        lines = []
+        for agg in aggs:
+            res = session.process_epoch(agg)
+            lines.append(encode_record(res.tuple_obj))
+            lines.append(encode_record(regulator.verify(res.tuple_obj)))
+            lines.append(repr((res.alpha_hat, res.threshold, res.rho_hat_local)))
+        return lines, len(inversions)
+
+    @pytest.mark.parametrize("mode", ["pv", "cr"])
+    def test_wire_lines_identical(self, aggs, mode, monkeypatch):
+        cached, n_cached = self._wire_lines(aggs, mode, monkeypatch)
+        monkeypatch.setattr(protocol, "NormTracker", ScanNormTracker)
+        scanned, n_scanned = self._wire_lines(aggs, mode, monkeypatch)
+        assert len(cached) == 3 * self.N_EPOCHS
+        assert n_cached == n_scanned >= 4  # several alpha_hat re-inversions
+        assert cached == scanned
