@@ -2,9 +2,11 @@
 
 Transport is a TCP stream of newline-delimited wire records (see
 ``protocol``): per session, one handshake line, then one tuple line per epoch
-answered by one verdict line. The regulator handles up to ``MAX_SESSIONS``
-sessions concurrently and independently; per-session processing is
-sequential in epoch order. Every received tuple and sent verdict is appended
+answered by one verdict line. The regulator serves up to ``MAX_SESSIONS``
+independent sessions from one event loop on non-blocking sockets: each
+complete line is verified and answered before the next is taken, so a
+session never waits for another one's thread, and a session silent for
+``IDLE_LIMIT_S`` is closed. Every received tuple and sent verdict is appended
 to an audit log that can be replayed offline to reproduce the verdicts
 byte-exactly.
 
@@ -14,8 +16,8 @@ Audit line format: ``<ISO-8601 timestamp> <RX|TX> <wire record>``.
 from __future__ import annotations
 
 import logging
+import selectors
 import socket
-import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
@@ -61,6 +63,10 @@ MAX_RECORD_BYTES = 64 * 1024
 # Most sessions a regulator serves at once; a connection over the cap is
 # answered with a logged rejection verdict and closed.
 MAX_SESSIONS = 64
+# Seconds a session may pass without sending or taking a byte before it is closed.
+IDLE_LIMIT_S = 120.0
+# Seconds a rejected connection is kept to drain its peer's line in flight.
+_LINGER_S = 2.0
 
 
 @dataclass
@@ -73,176 +79,311 @@ class RegulatorConfig:
 
 
 class _AuditLog:
-    """Append-only audit sink behind a lock (the single serialization point)."""
+    """Append-only audit sink; the event loop is its only writer."""
 
     def __init__(self, path: str | Path):
-        self._lock = threading.Lock()
         self._fh = open(path, "a", encoding="utf-8")
 
     def append(self, direction: str, record: str) -> None:
         stamp = datetime.now(timezone.utc).isoformat()
-        with self._lock:
-            self._fh.write(f"{stamp} {direction} {record}\n")
-            self._fh.flush()
+        self._fh.write(f"{stamp} {direction} {record}\n")
+        self._fh.flush()
 
     def append_pair(self, rx_record: str, tx_record: str) -> None:
-        """Atomically log a tuple and its verdict so replay order is exact."""
+        """Log a tuple and its verdict with one flush, so replay order is exact."""
         stamp = datetime.now(timezone.utc).isoformat()
-        with self._lock:
-            self._fh.write(f"{stamp} RX {rx_record}\n")
-            self._fh.write(f"{stamp} TX {tx_record}\n")
-            self._fh.flush()
+        self._fh.write(f"{stamp} RX {rx_record}\n{stamp} TX {tx_record}\n")
+        self._fh.flush()
 
     def close(self) -> None:
-        with self._lock:
-            self._fh.close()
+        self._fh.close()
 
 
 _OVERLONG = f"record longer than {MAX_RECORD_BYTES} bytes"
 
 
-def _overlong(line: bytes) -> bool:
-    """A line read to the full limit without reaching its newline.
+class _Conn:
+    """One connection's socket, byte buffers and session state."""
 
-    Lines are read with ``readline(MAX_RECORD_BYTES + 1)``; one that ends
-    without a newline and is shorter was cut by EOF instead.
+    __slots__ = ("sock", "peer", "inbuf", "outbuf", "session", "slot", "closing",
+                 "drained", "writing", "last_active")
+
+    def __init__(self, sock: socket.socket, peer, now: float):
+        self.sock = sock
+        self.peer = peer
+        self.inbuf = b""  # an incomplete line
+        self.outbuf = b""  # verdicts the peer has not taken yet
+        self.session: RegulatorSession | None = None  # set by the handshake
+        self.slot = False  # holds one of the MAX_SESSIONS slots
+        self.closing = False  # rejected: flush, half-close, drain, close
+        self.drained = 0  # bytes discarded since the half-close
+        self.writing = False  # selector waits for EVENT_WRITE, not EVENT_READ
+        self.last_active = now
+
+
+class RegulatorServer:
+    """Regulator serving every session from one ``selectors`` event loop.
+
+    Sockets are non-blocking. Each complete line is decoded, verified, logged
+    and answered before the loop takes the next, and no call waits on a
+    single client: a session with unsent verdicts is not read until its peer
+    takes them. The loop is the only writer of the audit log.
     """
-    return len(line) > MAX_RECORD_BYTES and not line.endswith(b"\n")
-
-
-class _SessionHandler(socketserver.StreamRequestHandler):
-    timeout = 120.0  # server-side read timeout per record
-
-    def handle(self):
-        server: RegulatorServer = self.server  # type: ignore[assignment]
-        peer = self.client_address
-        self.connection.settimeout(self.timeout)
-        if not server.open_session():
-            reason = f"session limit of {MAX_SESSIONS} reached"
-            logger.warning("connection from %s refused: %s", peer, reason)
-            try:
-                self._reject(server, "?", reason)
-            except OSError:
-                pass
-            return
-        try:
-            self._session_loop(server, peer)
-        except (socket.timeout, TimeoutError):
-            logger.warning("session from %s timed out", peer)
-        finally:
-            server.close_session()
-
-    def _reject(self, server: "RegulatorServer", uid: str, reason: str) -> None:
-        """Log and send a rejection verdict that answers no tuple."""
-        msg = encode_record(Verdict(uid=uid, w=-1, rho_hat=0, matched=False, reason=reason))
-        server.audit.append("TX", msg)
-        self.wfile.write(msg.encode() + b"\n")
-
-    def _session_loop(self, server: "RegulatorServer", peer):
-        line = self.rfile.readline(MAX_RECORD_BYTES + 1)
-        if not line.endswith(b"\n") and not _overlong(line):
-            logger.warning("connection from %s closed before handshake", peer)
-            return
-        try:
-            if _overlong(line):
-                raise ProtocolError(_OVERLONG)
-            hs = decode_record(line.rstrip(b"\n"))
-            if not isinstance(hs, Handshake):
-                raise ProtocolError("first record must be a handshake")
-            if not server.config.allows(hs.mode):
-                raise ProtocolError(f"mode {hs.mode!r} not allowed by this regulator")
-        except ProtocolError as exc:
-            self._reject(server, "?", str(exc))
-            logger.warning("malformed handshake from %s: %s", peer, exc)
-            return
-
-        server.audit.append("RX", encode_record(hs))
-        session = RegulatorSession(hs)
-        logger.info("session %s mode=%s d=%d p=%d", hs.uid, hs.mode, hs.d, hs.p)
-        while not server.stopping.is_set():
-            line = self.rfile.readline(MAX_RECORD_BYTES + 1)
-            if not line:
-                break  # client closed; partial epochs are simply never received
-            if _overlong(line):
-                # the rest of the line is never read, so the session ends here
-                logger.warning("session %s: %s, closing", hs.uid, _OVERLONG)
-                try:
-                    self._reject(server, hs.uid, _OVERLONG)
-                except (BrokenPipeError, ConnectionResetError):
-                    pass
-                break
-            if not line.endswith(b"\n"):
-                logger.warning("session %s: partial record at EOF discarded", hs.uid)
-                break
-            raw = line.rstrip(b"\n").decode("utf-8", errors="replace")
-            try:
-                tup = decode_record(raw)
-                if isinstance(tup, Handshake):
-                    raise ProtocolError("duplicate handshake")
-                if isinstance(tup, Verdict):
-                    raise ProtocolError("unexpected verdict from client")
-                verdict = session.verify(tup)
-            except ProtocolError as exc:
-                verdict = Verdict(
-                    uid=hs.uid, w=-1, rho_hat=0, matched=False, reason=str(exc)
-                )
-            out = encode_record(verdict)
-            server.audit.append_pair(raw, out)
-            try:
-                self.wfile.write(out.encode() + b"\n")
-            except (BrokenPipeError, ConnectionResetError):
-                break
-        logger.info(
-            "session %s done: %d tuples, %d verdicts, %d mismatches",
-            hs.uid,
-            session.tuples_received,
-            session.verdicts_sent,
-            session.mismatches,
-        )
-
-
-class RegulatorServer(socketserver.ThreadingTCPServer):
-    """Threaded regulator accepting concurrent, isolated sessions."""
-
-    allow_reuse_address = True
-    daemon_threads = False
-    block_on_close = True
 
     def __init__(self, listen_addr: tuple[str, int], config: RegulatorConfig):
-        super().__init__(listen_addr, _SessionHandler)
         self.config = config
+        self._listener = socket.create_server(listen_addr)
+        self._listener.setblocking(False)
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(self._listener, selectors.EVENT_READ)
+        self._sel.register(self._wake_r, selectors.EVENT_READ)
         self.audit = _AuditLog(config.audit_path)
-        self.stopping = threading.Event()
-        self._sessions_lock = threading.Lock()
         self.active_sessions = 0
-
-    def open_session(self) -> bool:
-        """Take a session slot; False when ``MAX_SESSIONS`` are already open."""
-        with self._sessions_lock:
-            if self.active_sessions >= MAX_SESSIONS:
-                return False
-            self.active_sessions += 1
-            return True
-
-    def close_session(self) -> None:
-        with self._sessions_lock:
-            self.active_sessions -= 1
+        self._stopping = False
+        self._idle = threading.Event()  # set while no loop runs
+        self._idle.set()
+        self._now = time.monotonic()
 
     @property
     def address(self) -> tuple[str, int]:
-        return self.socket.getsockname()
+        return self._listener.getsockname()
 
     def start_background(self) -> threading.Thread:
+        self._idle.clear()  # a stop() from now on waits for the loop
         thread = threading.Thread(target=self.serve_forever, daemon=True)
         thread.start()
         return thread
 
     def stop(self) -> None:
-        """Graceful shutdown: drain in-flight verdicts, then close the audit."""
-        self.stopping.set()
-        self.shutdown()
-        self.server_close()
+        """Stop the loop, close every connection, then close the audit."""
+        self._stopping = True
+        self._wake_w.send(b"\0")
+        self._idle.wait()
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            sock.close()
+        self._sel.close()
         self.audit.close()
+
+    def serve_forever(self) -> None:
+        """Run the event loop until ``stop``."""
+        self._idle.clear()
+        select = self._sel.select
+        next_scan = self._now + 1.0
+        try:
+            while not self._stopping:
+                events = select(max(0.0, next_scan - self._now))
+                self._now = now = time.monotonic()
+                for key, _ in events:
+                    conn = key.data
+                    if conn is None:
+                        if key.fileobj is self._listener:
+                            self._accept()
+                        continue  # else woken by stop()
+                    try:
+                        if conn.writing:
+                            self._flush(conn)
+                        else:
+                            self._on_readable(conn)
+                    except OSError as exc:
+                        logger.info("connection from %s lost: %s", conn.peer, exc)
+                        self._close(conn)
+                    except Exception:
+                        logger.exception("connection from %s failed", conn.peer)
+                        self._close(conn)
+                if now >= next_scan:
+                    self._close_idle()
+                    next_scan = now + 1.0
+        finally:
+            for conn in self._conns():
+                if conn.outbuf:
+                    try:
+                        conn.sock.send(conn.outbuf)
+                    except OSError:
+                        pass
+                self._close(conn)
+            self._idle.set()
+
+    def _conns(self) -> list[_Conn]:
+        return [k.data for k in self._sel.get_map().values() if k.data is not None]
+
+    def _accept(self) -> None:
+        try:
+            sock, peer = self._listener.accept()
+        except BlockingIOError:
+            return
+        except OSError as exc:  # e.g. out of file descriptors
+            logger.warning("accept failed: %s", exc)
+            return
+        sock.setblocking(False)
+        conn = _Conn(sock, peer, self._now)
+        self._sel.register(sock, selectors.EVENT_READ, conn)
+        if self.active_sessions >= MAX_SESSIONS:
+            reason = f"session limit of {MAX_SESSIONS} reached"
+            logger.warning("connection from %s refused: %s", peer, reason)
+            try:
+                self._reject(conn, "?", reason)
+            except OSError:
+                self._close(conn)
+            return
+        conn.slot = True
+        self.active_sessions += 1
+
+    def _close(self, conn: _Conn) -> None:
+        self._sel.unregister(conn.sock)
+        conn.sock.close()
+        if conn.slot:
+            conn.slot = False
+            self.active_sessions -= 1
+        session = conn.session
+        if session is not None:
+            logger.info(
+                "session %s done: %d tuples, %d verdicts, %d mismatches",
+                session.handshake.uid,
+                session.tuples_received,
+                session.verdicts_sent,
+                session.mismatches,
+            )
+
+    def _close_idle(self) -> None:
+        """Close sessions silent for ``IDLE_LIMIT_S``, rejected ones after ``_LINGER_S``."""
+        for conn in self._conns():
+            limit = _LINGER_S if conn.closing else IDLE_LIMIT_S
+            if self._now - conn.last_active > limit:
+                if not conn.closing:
+                    logger.warning("session from %s timed out", conn.peer)
+                self._close(conn)
+
+    def _want_write(self, conn: _Conn, writing: bool) -> None:
+        if conn.writing != writing:
+            conn.writing = writing
+            events = selectors.EVENT_WRITE if writing else selectors.EVENT_READ
+            self._sel.modify(conn.sock, events, conn)
+
+    def _send(self, conn: _Conn, record: str) -> None:
+        data = record.encode() + b"\n"
+        if not conn.outbuf:
+            try:
+                data = data[conn.sock.send(data) :]
+            except BlockingIOError:
+                pass
+        conn.outbuf += data
+
+    def _flush(self, conn: _Conn) -> None:
+        """Send pending verdicts; once they are out, serve the connection again."""
+        try:
+            sent = conn.sock.send(conn.outbuf)
+        except BlockingIOError:
+            return
+        conn.outbuf = conn.outbuf[sent:]
+        conn.last_active = self._now
+        if conn.outbuf:
+            return
+        self._want_write(conn, False)
+        if conn.closing:
+            self._half_close(conn)
+        elif conn.inbuf:
+            self._take_lines(conn, b"")
+
+    def _reject(self, conn: _Conn, uid: str, reason: str) -> None:
+        """Log and send a rejection verdict that answers no tuple; end the session."""
+        msg = encode_record(Verdict(uid=uid, w=-1, rho_hat=0, matched=False, reason=reason))
+        self.audit.append("TX", msg)
+        self._send(conn, msg)
+        conn.closing = True
+        conn.inbuf = b""
+        if conn.outbuf:
+            self._want_write(conn, True)
+        else:
+            self._half_close(conn)
+
+    def _half_close(self, conn: _Conn) -> None:
+        """End the output, so the peer reads the verdict and then EOF.
+
+        The input is then read and discarded up to EOF, a newline or
+        ``MAX_RECORD_BYTES``: closing with the peer's line unread would
+        answer it with a reset that can destroy the verdict in flight.
+        """
+        conn.sock.shutdown(socket.SHUT_WR)
+        conn.last_active = self._now
+
+    def _on_readable(self, conn: _Conn) -> None:
+        try:
+            data = conn.sock.recv(MAX_RECORD_BYTES)
+        except BlockingIOError:
+            return
+        if conn.closing:
+            conn.drained += len(data)
+            if not data or b"\n" in data or conn.drained >= MAX_RECORD_BYTES:
+                self._close(conn)
+            return
+        if not data:
+            if conn.session is None:
+                logger.warning("connection from %s closed before handshake", conn.peer)
+            elif conn.inbuf:
+                logger.warning("session %s: partial record at EOF discarded",
+                               conn.session.handshake.uid)
+            self._close(conn)
+            return
+        conn.last_active = self._now
+        self._take_lines(conn, data)
+
+    def _take_lines(self, conn: _Conn, data: bytes) -> None:
+        """Answer every complete line in the buffer, in order."""
+        buf = conn.inbuf + data if conn.inbuf else data
+        start = 0
+        while not (conn.closing or conn.outbuf):
+            end = buf.find(b"\n", start, start + MAX_RECORD_BYTES + 1)
+            if end < 0:
+                if len(buf) - start > MAX_RECORD_BYTES:
+                    self._on_line(conn, None)
+                break
+            self._on_line(conn, buf[start:end])
+            start = end + 1
+        if conn.closing:
+            return
+        conn.inbuf = buf[start:]
+        if conn.outbuf:
+            self._want_write(conn, True)
+
+    def _on_line(self, conn: _Conn, line: bytes | None) -> None:
+        """Answer one line; ``None`` stands for a line over the length limit."""
+        session = conn.session
+        if session is None:
+            try:
+                if line is None:
+                    raise ProtocolError(_OVERLONG)
+                hs = decode_record(line)
+                if not isinstance(hs, Handshake):
+                    raise ProtocolError("first record must be a handshake")
+                if not self.config.allows(hs.mode):
+                    raise ProtocolError(f"mode {hs.mode!r} not allowed by this regulator")
+            except ProtocolError as exc:
+                logger.warning("malformed handshake from %s: %s", conn.peer, exc)
+                self._reject(conn, "?", str(exc))
+                return
+            self.audit.append("RX", encode_record(hs))
+            conn.session = RegulatorSession(hs)
+            logger.info("session %s mode=%s d=%d p=%d", hs.uid, hs.mode, hs.d, hs.p)
+            return
+        uid = session.handshake.uid
+        if line is None:
+            logger.warning("session %s: %s, closing", uid, _OVERLONG)
+            self._reject(conn, uid, _OVERLONG)
+            return
+        raw = line.decode("utf-8", errors="replace")
+        try:
+            tup = decode_record(raw)
+            if isinstance(tup, Handshake):
+                raise ProtocolError("duplicate handshake")
+            if isinstance(tup, Verdict):
+                raise ProtocolError("unexpected verdict from client")
+            verdict = session.verify(tup)
+        except ProtocolError as exc:
+            verdict = Verdict(uid=uid, w=-1, rho_hat=0, matched=False, reason=str(exc))
+        out = encode_record(verdict)
+        self.audit.append_pair(raw, out)
+        self._send(conn, out)
 
 
 def serve_regulator(listen_addr: tuple[str, int], config: RegulatorConfig) -> None:

@@ -580,6 +580,10 @@ def _reject_constant(name: str):
     raise ProtocolError(f"non-finite constant on the wire: {name}")
 
 
+# One decoder for every line: ``json.loads`` with a keyword builds a new one per call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _need(obj: dict, key: str, kind, path: str):
     if key not in obj:
         raise ProtocolError(f"{path}.{key}: missing field")
@@ -636,7 +640,9 @@ def decode_record(line: str | bytes) -> Handshake | CrTuple | PvTuple | Verdict:
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"invalid utf-8: {exc}") from exc
     try:
-        obj = json.loads(line, parse_constant=_reject_constant)
+        if line.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        obj = _DECODER.decode(line)
     except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"malformed record: {exc}") from exc
     if not isinstance(obj, dict):

@@ -76,8 +76,8 @@ def _check_symmetric(s: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
-    scale = max(1.0, float(np.max(np.abs(s))))
-    asym = float(np.max(np.abs(s - s.T)))
+    scale = max(1.0, float(abs(s).max()))
+    asym = float(abs(s - s.T).max())
     if asym > tol * scale:
         raise ValueError(f"matrix not symmetric: max asymmetry {asym:.3e}")
     return 0.5 * (s + s.T)
@@ -102,11 +102,12 @@ def eig_factorize(
     s = _check_symmetric(s)
     d = s.shape[0]
     lam, vec = np.linalg.eigh(s)
-    # eigh returns ascending; flip to descending
+    # eigh returns ascending; flip to descending (a C-contiguous copy: a
+    # negative-stride view would take another matmul path downstream)
     lam = lam[::-1].copy()
     vec = vec[:, ::-1].copy()
 
-    trace = float(np.trace(s))
+    trace = float(s.trace())
     if lam[-1] < -1e-8 * max(trace, 1.0):
         raise ValueError(
             f"matrix not PSD: smallest eigenvalue {lam[-1]:.3e} "
@@ -115,10 +116,8 @@ def eig_factorize(
     lam = np.maximum(lam, 0.0)
 
     # Sign convention: largest-magnitude component of each column positive.
-    for j in range(d):
-        k = int(np.argmax(np.abs(vec[:, j])))
-        if vec[k, j] < 0:
-            vec[:, j] = -vec[:, j]
+    k = abs(vec).argmax(axis=0)
+    vec *= np.where(vec[k, np.arange(d)] < 0, -1.0, 1.0)
 
     if count is not None and variance_fraction is not None:
         raise ValueError("give either count or variance_fraction, not both")

@@ -23,7 +23,14 @@ from dpalarm.netsvc import (
 from dpalarm.pipeline import residual_stream
 from dpalarm.plant import AttackSpec
 from dpalarm.privacy import PrivacyParams
-from dpalarm.protocol import CrTuple, decode_record, encode_record, Handshake, Verdict
+from dpalarm.protocol import (
+    CrTuple,
+    Handshake,
+    ProtocolError,
+    Verdict,
+    decode_record,
+    encode_record,
+)
 
 logging.getLogger("dpalarm.netsvc").setLevel(logging.ERROR)
 
@@ -368,3 +375,86 @@ class TestSessionLimit:
                 fh.close()
                 sock.close()
         self._wait_for(lambda: server.active_sessions == 0)
+
+
+class TestEventLoop:
+    """One loop serves every session: no session, idle or slow, holds up another."""
+
+    def test_refused_client_reads_the_refusal(self, server, monkeypatch):
+        monkeypatch.setattr(netsvc, "MAX_SESSIONS", 1)
+        sock, fh = TestSessionLimit._open_session(server, "held")
+        try:
+            # closing with the client's handshake unread resets the connection,
+            # which loses the verdict in most but not all tries
+            for _ in range(5):
+                summary = run_utility_client(
+                    server.address, quiet_params(), default_scenario(), "cr", seed=1,
+                    n_epochs=2, retry_delays=(0.05,),
+                )
+                assert not summary.completed
+                assert "session limit of 1 reached" in summary.error
+        finally:
+            fh.close()
+            sock.close()
+
+    def test_stop_does_not_wait_on_idle_session(self, tmp_path):
+        srv = RegulatorServer(("127.0.0.1", 0), RegulatorConfig(tmp_path / "audit.log"))
+        srv.start_background()
+        sock, fh = TestSessionLimit._open_session(srv, "idle")
+        try:
+            t0 = time.monotonic()
+            srv.stop()
+            assert time.monotonic() - t0 < 2.0
+            assert fh.readline() == b""  # closed by the regulator
+        finally:
+            fh.close()
+            sock.close()
+
+    def test_idle_session_closed(self, server, monkeypatch):
+        monkeypatch.setattr(netsvc, "IDLE_LIMIT_S", 0.2)
+        sock, fh = TestSessionLimit._open_session(server, "quiet")
+        try:
+            assert server.active_sessions == 1
+            TestSessionLimit._wait_for(lambda: server.active_sessions == 0)
+            assert fh.readline() == b""
+        finally:
+            fh.close()
+            sock.close()
+
+    def test_slow_reader_stalls_no_one(self, server):
+        hs = Handshake(uid="slow", mode="cr", d=3, p=3, epoch_len=10, params=quiet_params())
+        line = b"{}\n"  # rejected at once, so the verdicts back up in little time
+        with pytest.raises(ProtocolError) as rejection:
+            decode_record(line)
+        verdict = Verdict("slow", -1, 0, False, reason=str(rejection.value))
+        slow = socket.socket()
+        slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        slow.connect(server.address)
+        try:
+            slow.sendall(encode_record(hs).encode() + b"\n")
+            slow.setblocking(False)
+            sent, stalled, pending = 0, 0, b""
+            while stalled < 20:  # 0.5 s in which the socket takes no byte
+                if not pending:
+                    pending = line * 100
+                try:
+                    n = slow.send(pending)
+                    pending, sent, stalled = pending[n:], sent + n, 0
+                except BlockingIOError:
+                    stalled += 1
+                    time.sleep(0.025)
+                assert sent < 50_000_000, "the regulator never stopped reading the slow session"
+            summary = run_utility_client(
+                server.address, quiet_params(), default_scenario(), "cr", seed=2,
+                n_epochs=20, uid="fast", retry_delays=(0.05,),
+            )
+            assert summary.completed and len(summary.epochs) == 20
+
+            (conn,) = [c for c in server._conns() if c.session and c.session.handshake.uid == "slow"]
+            assert conn.writing  # not read while its verdicts are unsent
+            assert len(conn.inbuf) <= MAX_RECORD_BYTES
+            per_read = MAX_RECORD_BYTES // len(line) + 1
+            assert len(conn.outbuf) <= per_read * (len(encode_record(verdict)) + 1)
+        finally:
+            slow.close()
+        TestSessionLimit._wait_for(lambda: server.active_sessions == 0)
