@@ -24,12 +24,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .privacy import PrivacyParams
 from .stats import (
     CovFactorization,
-    exp_cdf,
-    gamma_cdf,
     noncentral_chi2_cdf,
     noncentral_chi2_quantile,
     normal_cdf,
@@ -50,7 +49,7 @@ __all__ = [
 ]
 
 ALPHA_FLOOR = 1e-12
-# Relative resolution of the equivalent-alpha bisection: it stops once its
+# Relative width of the equivalent-alpha bracket: the inversion stops once its
 # bracket is this narrow, and a bound within this of the target counts as met.
 ALPHA_RTOL = 1e-12
 
@@ -205,17 +204,24 @@ class BoundInputs:
         return self.params.sigma
 
     def _weights(self) -> tuple[float, float]:
-        """(omega_1, omega_2): tail weights of the two covariance-phase cases."""
+        """(omega_1, omega_2): tail weights of the two covariance-phase cases.
+
+        The Gamma(p, rate) and Exp(rate) CDFs are the ufuncs of
+        ``stats.gamma_cdf``/``stats.exp_cdf`` called on scalars, bit for bit.
+        """
         params = self.params
         theta_l = params.theta_l(self.d)
         arg = self.res_energy * theta_l
-        if self.r_max <= 0.0:
-            # degenerate window: the gamma-tail case carries all the weight
+        scale = params.delta_l * self.r_max**2
+        if scale <= 0.0:
+            # degenerate window (r_max = 0, or so small that its square
+            # underflows): the gamma-tail case carries all the weight
             w1 = 1.0 if arg <= 0.0 else 0.0
         else:
-            rate = params.eps_cov / (params.delta_l * self.r_max**2)
-            w1 = 1.0 - gamma_cdf(arg, shape=self.p, rate=rate)
-        w2 = exp_cdf(theta_l, rate=params.eps_cov / params.delta_l) ** self.p
+            rate = params.eps_cov / scale
+            w1 = 1.0 - (float(special.gammainc(self.p, rate * arg)) if arg > 0.0 else 0.0)
+        rate = params.eps_cov / params.delta_l
+        w2 = (float(-np.expm1(-rate * theta_l)) if theta_l > 0.0 else 0.0) ** self.p
         return float(w1), float(w2)
 
     def scaled_nc_current(self) -> float:
@@ -295,6 +301,55 @@ def _mc_type1_estimate(
     return est, float(np.sqrt(var))
 
 
+def _itp_invert(
+    bound: Callable[[float], float],
+    target: float,
+    lo: float,
+    f_lo: float,
+    hi: float,
+    f_hi: float,
+) -> tuple[float, float]:
+    """Narrow [lo, hi] with bound(lo) <= target < bound(hi) to hi/lo < 1 + ALPHA_RTOL.
+
+    ITP on x = ln alpha with kappa_1 = 0.2 / (initial width), kappa_2 = 2 and
+    n_0 = 1: step j evaluates the regula falsi estimate (taken in alpha, where
+    the bound is nearly linear) moved towards the log-space midpoint by
+    kappa_1 * width^2, then projected to within r_j of the midpoint, with r_j
+    shrinking so that after n_1/2 + 1 steps the bracket is as narrow as
+    bisection's after n_1/2. Below about 1e-10 relative width, chndtrix
+    rounding makes the bound noisy and interpolation unreliable; the
+    projection still holds those steps to that worst case, falling back
+    towards bisection. Returns (lo, bound(lo)) of the final bracket.
+    """
+    x_lo, x_hi = math.log(lo), math.log(hi)
+    eps = 0.5 * math.log1p(ALPHA_RTOL)  # stop once x_hi - x_lo < 2 eps
+    n_max = math.ceil(math.log2((x_hi - x_lo) / (2.0 * eps))) + 1
+    # project onto a 1/64 narrower budget, so that rounding of ln alpha (a few
+    # ulps of 1e-12) cannot leave the bracket at 2 eps after n_max steps
+    eps *= 1.0 - 2.0**-6
+    kappa_1 = 0.2 / (x_hi - x_lo)
+    for j in range(200):
+        width = x_hi - x_lo
+        x_half = 0.5 * (x_lo + x_hi)
+        x_f = math.log(lo + (target - f_lo) * (hi - lo) / (f_hi - f_lo))
+        toward = x_half - x_f
+        delta = kappa_1 * width * width
+        x_t = x_f + math.copysign(delta, toward) if delta <= abs(toward) else x_half
+        r = max(eps * 2.0 ** (n_max - j) - 0.5 * width, 0.0)
+        x = x_t if abs(x_t - x_half) <= r else x_half - math.copysign(r, toward)
+        mid = math.exp(x)
+        if not lo < mid < hi:  # rounding put x on an end: bisect instead
+            mid = math.sqrt(lo * hi)
+        f_mid = bound(mid)
+        if f_mid > target:
+            hi, f_hi, x_hi = mid, f_mid, math.log(mid)
+        else:
+            lo, f_lo, x_lo = mid, f_mid, math.log(mid)
+        if hi / lo < 1.0 + ALPHA_RTOL:
+            break
+    return lo, f_lo
+
+
 def equivalent_alpha(
     alpha_target: float,
     inputs: BoundInputs,
@@ -303,18 +358,26 @@ def equivalent_alpha(
 ) -> AlphaInversion:
     """Solve for the alpha_hat whose worst-case Type-I error equals alpha_target.
 
-    Log-space bisection over alpha_hat in (1e-12, alpha_target], exploiting
-    monotonicity of the bound; the returned alpha_hat is the bracket side
-    whose bound is <= the target. The bound is built once per inversion (one
-    evaluation of the weights and noncentralities), so each bisection step
-    costs one noncentral chi-square quantile and one CDF; every value equals
-    type1_upper_bound at the same alpha_hat bit for bit. When the bound at
-    alpha_target already meets the target no inversion is needed and
-    alpha_target is returned; the degenerate flag is set only if the bound
-    there falls short of the target by more than the bisection's relative
-    resolution ALPHA_RTOL. With ``n_mc`` > 0 a Monte Carlo re-estimate of the
-    bound at the solution is attached (estimate and standard error), matching
-    the simulation route for computing the equivalent level.
+    Brackets alpha_hat in [1e-12, alpha_target] and narrows the bracket by ITP
+    (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS 47(1),
+    2020) on x = ln alpha_hat, exploiting monotonicity of the bound. The
+    interpolation is regula falsi in alpha_hat itself, where the bound is
+    nearly linear, so a typical inversion takes about 10 bound evaluations;
+    the projection bounds the worst case at one step more than log-space
+    bisection's (48 evaluations against 47 at alpha_target = 0.05).
+    It stops once hi/lo < 1 + ALPHA_RTOL and returns lo, the bracket side
+    whose bound is <= the target (the other side's bound exceeds it). The
+    bound is built once per inversion (one evaluation of the weights and
+    noncentralities), so each step costs one noncentral chi-square quantile
+    and one CDF; every value equals type1_upper_bound at the same alpha_hat
+    bit for bit. When the bound at alpha_target already meets the target no
+    inversion is needed and alpha_target is returned; the degenerate flag is
+    set only if the bound there falls short of the target by more than the
+    bracket's relative width ALPHA_RTOL, or if it exceeds the target even at
+    the floor (then the floor is returned). With ``n_mc`` > 0 a Monte Carlo
+    re-estimate of the bound at the solution is attached (estimate and
+    standard error), matching the simulation route for computing the
+    equivalent level.
     """
     if not 0.0 < alpha_target < 1.0:
         raise ValueError(f"alpha_target must be in (0,1), got {alpha_target}")
@@ -340,15 +403,7 @@ def equivalent_alpha(
                 alpha_hat=lo, achieved=f_lo, target=alpha_target, degenerate=True
             )
         else:
-            for _ in range(200):
-                mid = math.sqrt(lo * hi)  # bisect in log space
-                f_mid = bound(mid)
-                if f_mid > alpha_target:
-                    hi = mid
-                else:
-                    lo, f_lo = mid, f_mid
-                if hi / lo < 1.0 + ALPHA_RTOL:
-                    break
+            lo, f_lo = _itp_invert(bound, alpha_target, lo, f_lo, hi, f_hi)
             result = AlphaInversion(
                 alpha_hat=lo, achieved=f_lo, target=alpha_target, degenerate=False
             )

@@ -67,6 +67,11 @@ MAX_SESSIONS = 64
 IDLE_LIMIT_S = 120.0
 # Seconds a rejected connection is kept to drain its peer's line in flight.
 _LINGER_S = 2.0
+# SO_SNDBUF of every accepted connection: caps the verdict bytes the kernel
+# holds for a peer that does not read them (Linux doubles the value for its
+# bookkeeping). Left to autotune it grows to megabytes of verdicts, verified
+# for a peer that never reads them.
+SEND_BUFFER_BYTES = 64 * 1024
 
 
 @dataclass
@@ -216,6 +221,7 @@ class RegulatorServer:
             logger.warning("accept failed: %s", exc)
             return
         sock.setblocking(False)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, SEND_BUFFER_BYTES)
         conn = _Conn(sock, peer, self._now)
         self._sel.register(sock, selectors.EVENT_READ, conn)
         if self.active_sessions >= MAX_SESSIONS:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dpalarm.bounds import ALPHA_RTOL
 from dpalarm.config import default_scenario, reference_params
 
 
@@ -62,3 +63,21 @@ class ScanNormTracker:
     def median_vector(self):
         norms = [float(v @ v) for v in self._buf]
         return self._buf[int(np.argsort(norms, kind="stable")[(len(norms) - 1) // 2])].copy()
+
+
+def bisect_invert(bound, target, lo, f_lo, hi, f_hi):
+    """Reference for ``bounds._itp_invert``: plain log-space bisection.
+
+    Same contract (bound(lo) <= target < bound(hi) in, the final lo and its
+    bound out once hi/lo < 1 + ALPHA_RTOL), at about 45 bound evaluations.
+    """
+    for _ in range(200):
+        mid = float(np.sqrt(lo * hi))
+        f_mid = bound(mid)
+        if f_mid > target:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+        if hi / lo < 1.0 + ALPHA_RTOL:
+            break
+    return lo, f_lo

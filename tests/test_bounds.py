@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpalarm import bounds
 from dpalarm.bounds import (
     ALPHA_FLOOR,
     ALPHA_RTOL,
@@ -18,8 +21,8 @@ from dpalarm.bounds import (
     type1_upper_bound,
 )
 from dpalarm.privacy import PrivacyParams, gaussian_sum_bound, laplace_max_bound, perturb_covariance
-from dpalarm.stats import eig_factorize, whiten
-from conftest import ScanNormTracker, random_psd
+from dpalarm.stats import eig_factorize, exp_cdf, gamma_cdf, whiten
+from conftest import ScanNormTracker, bisect_invert, random_psd
 
 
 def make_inputs(
@@ -258,6 +261,13 @@ class TestEquivalentAlpha:
         assert inv.mc_estimate is not None
         assert abs(inv.mc_estimate - inv.achieved) < max(0.05 * 0.05, 4 * inv.mc_se)
 
+    def test_underflowing_r_max_is_a_degenerate_window(self):
+        # r_max^2 underflows to 0: the limit of the gamma tail, not a division by zero
+        zero = make_inputs([1.0, 0.8, 0.5], res_energy=0.0, r_max=0.0)
+        tiny = make_inputs([1.0, 0.8, 0.5], res_energy=0.0, r_max=1e-200)
+        assert tiny._weights() == zero._weights()
+        assert equivalent_alpha(0.05, tiny, n_mc=0) == equivalent_alpha(0.05, zero, n_mc=0)
+
     def test_bad_n_mc(self):
         inputs = make_inputs([1.0])
         with pytest.raises(ValueError):
@@ -389,26 +399,66 @@ class TestBoundReport:
         assert set(flat.keys()) == set(BoundReport.FIELDS)
 
 
-def reference_inversion(alpha_target, inputs):
-    """equivalent_alpha's bisection (n_mc=0) written on the public bound."""
+def public_inversion(alpha_target, inputs, search):
+    """equivalent_alpha (n_mc=0) on the public bound, narrowing by ``search``.
+
+    ``search(bound, target, lo, f_lo, hi, f_hi)`` returns the final (lo, f_lo,
+    hi). Returns (alpha_hat, achieved, degenerate, branch, hi), hi None
+    outside the search branch.
+    """
+    bound = lambda a: type1_upper_bound(a, inputs)  # noqa: E731
     hi = alpha_target
-    f_hi = type1_upper_bound(hi, inputs)
+    f_hi = bound(hi)
     if f_hi <= alpha_target:
-        return hi, f_hi, f_hi < alpha_target * (1.0 - ALPHA_RTOL), "met"
+        return hi, f_hi, f_hi < alpha_target * (1.0 - ALPHA_RTOL), "met", None
     lo = ALPHA_FLOOR
-    f_lo = type1_upper_bound(lo, inputs)
+    f_lo = bound(lo)
     if f_lo > alpha_target:
-        return lo, f_lo, True, "floor"
-    for _ in range(200):
-        mid = float(np.sqrt(lo * hi))
-        f_mid = type1_upper_bound(mid, inputs)
-        if f_mid > alpha_target:
-            hi = mid
+        return lo, f_lo, True, "floor", None
+    lo, f_lo, hi = search(bound, alpha_target, lo, f_lo, hi, f_hi)
+    return lo, f_lo, False, "search", hi
+
+
+def itp_search(bound, target, lo, f_lo, hi, f_hi):
+    """The ITP of ``bounds._itp_invert``, returning the final bracket."""
+    x_lo, x_hi = math.log(lo), math.log(hi)
+    eps = 0.5 * math.log1p(ALPHA_RTOL)
+    n_max = math.ceil(math.log2((x_hi - x_lo) / (2.0 * eps))) + 1
+    eps *= 1.0 - 2.0**-6
+    kappa_1 = 0.2 / (x_hi - x_lo)
+    for j in range(200):
+        width = x_hi - x_lo
+        x_half = 0.5 * (x_lo + x_hi)
+        # interpolate in alpha, truncate towards the midpoint, project
+        x_f = math.log(lo + (target - f_lo) * (hi - lo) / (f_hi - f_lo))
+        sign = 1.0 if x_half - x_f >= 0.0 else -1.0
+        delta = kappa_1 * width * width
+        x_t = x_f + sign * delta if delta <= abs(x_half - x_f) else x_half
+        r = max(eps * 2.0 ** (n_max - j) - 0.5 * width, 0.0)
+        x = x_t if abs(x_t - x_half) <= r else x_half - sign * r
+        mid = math.exp(x)
+        if not lo < mid < hi:
+            mid = math.sqrt(lo * hi)
+        f_mid = bound(mid)
+        if f_mid > target:
+            hi, f_hi, x_hi = mid, f_mid, math.log(mid)
         else:
-            lo, f_lo = mid, f_mid
+            lo, f_lo, x_lo = mid, f_mid, math.log(mid)
         if hi / lo < 1.0 + ALPHA_RTOL:
             break
-    return lo, f_lo, False, "bisection"
+    return lo, f_lo, hi
+
+
+def reference_inversion(alpha_target, inputs):
+    """equivalent_alpha's ITP written on the public bound."""
+    return public_inversion(alpha_target, inputs, itp_search)
+
+
+def bisection_inversion(alpha_target, inputs):
+    """The log-space bisection equivalent_alpha ran before ITP, on the public bound."""
+    return public_inversion(
+        alpha_target, inputs, lambda *bracket: (*bisect_invert(*bracket), None)
+    )
 
 
 def inversion_grid():
@@ -428,16 +478,85 @@ def inversion_grid():
     return cases
 
 
+def count_evaluations(monkeypatch, solve):
+    """Calls of ``solve()`` -> (result, bound evaluations it made)."""
+    calls = []
+    quantile = bounds.noncentral_chi2_quantile
+
+    def counting(*args):
+        calls.append(1)
+        return quantile(*args)
+
+    monkeypatch.setattr(bounds, "noncentral_chi2_quantile", counting)
+    try:
+        return solve(), len(calls)
+    finally:
+        monkeypatch.setattr(bounds, "noncentral_chi2_quantile", quantile)
+
+
+def check_against_references(target, inputs, monkeypatch):
+    """Every property the inversion keeps; returns (branch, degenerate, evaluations)."""
+    inv, n_itp = count_evaluations(monkeypatch, lambda: equivalent_alpha(target, inputs, n_mc=0))
+    alpha_hat, achieved, degenerate, branch, hi = reference_inversion(target, inputs)
+    # bit for bit the ITP on the public bound, so the private bound is the public one
+    assert (inv.alpha_hat, inv.achieved, inv.degenerate) == (alpha_hat, achieved, degenerate)
+    if hi is not None:  # the bracket contract, read on the public bound
+        assert type1_upper_bound(alpha_hat, inputs) == achieved <= target
+        assert type1_upper_bound(hi, inputs) > target
+        assert alpha_hat < hi and hi / alpha_hat < 1.0 + ALPHA_RTOL
+    (b_hat, _, b_degenerate, b_branch, _), n_bisect = count_evaluations(
+        monkeypatch, lambda: bisection_inversion(target, inputs)
+    )
+    assert (branch, degenerate) == (b_branch, b_degenerate)
+    assert abs(alpha_hat - b_hat) <= ALPHA_RTOL * alpha_hat
+    assert n_itp <= n_bisect + 1  # ITP's worst case: one step over bisection
+    return branch, degenerate, n_itp
+
+
 class TestInversionMatchesPublicBound:
-    def test_bit_identical_to_reference_bisection(self):
-        branches = set()
+    def test_bit_identical_to_reference_itp(self, monkeypatch):
+        branches, searches = set(), []
         for target, inputs in inversion_grid():
-            alpha_hat, achieved, degenerate, branch = reference_inversion(target, inputs)
-            inv = equivalent_alpha(target, inputs, n_mc=0)
-            assert (inv.alpha_hat, inv.achieved, inv.degenerate) == (alpha_hat, achieved, degenerate)
+            branch, degenerate, n_itp = check_against_references(target, inputs, monkeypatch)
             branches.add((branch, degenerate))
-        # normal bisection, a met target, a degenerate target and the floor all occur
-        assert branches >= {("bisection", False), ("met", False), ("met", True), ("floor", True)}
+            if branch == "search":
+                searches.append(n_itp)
+        # a bracket search, a met target, a degenerate target and the floor all occur
+        assert branches >= {("search", False), ("met", False), ("met", True), ("floor", True)}
+        # bisection takes 47 evaluations on each of these
+        assert np.median(searches) <= 12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 3),
+        tau=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+        inflate=st.floats(1.0, 50.0),
+        res_energy=st.floats(0.0, 3.0),
+        r_max=st.floats(0.0, 3.0),
+        gamma_cov=st.floats(0.001, 0.2),
+        target=st.floats(1e-6, 0.5),
+    )
+    def test_random_inputs(self, p, tau, inflate, res_energy, r_max, gamma_cov, target):
+        tau = np.array(tau[:p])
+        inputs = make_inputs(
+            tau, tau_max=tau * inflate, res_energy=res_energy, r_max=r_max, p=p,
+            gamma_cov=gamma_cov,
+        )
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            check_against_references(target, inputs, monkeypatch)
+
+    def test_weights_match_stats_wrappers(self):
+        for _, inputs in inversion_grid():
+            params = inputs.params
+            theta_l = params.theta_l(inputs.d)
+            arg = inputs.res_energy * theta_l
+            if inputs.r_max <= 0.0:
+                w1 = 1.0 if arg <= 0.0 else 0.0
+            else:
+                rate = params.eps_cov / (params.delta_l * inputs.r_max**2)
+                w1 = 1.0 - gamma_cdf(arg, shape=inputs.p, rate=rate)
+            w2 = exp_cdf(theta_l, rate=params.eps_cov / params.delta_l) ** inputs.p
+            assert inputs._weights() == (w1, w2)
 
     def test_weights_evaluated_once_per_inversion(self, monkeypatch):
         calls = []

@@ -266,9 +266,13 @@ class TestHarness:
 
 
 def test_import_loads_no_scipy_optimize_or_stats():
-    # the regulator process pays resident memory and start-up for every module
+    # the regulator process pays resident memory and start-up for every module,
+    # and a lazy import in the alpha_hat search would load one at the first epoch
     code = (
-        "import sys, dpalarm.netsvc; "
+        "import sys, numpy as np, dpalarm.netsvc, dpalarm.bounds as b; "
+        "from dpalarm.config import reference_params; "
+        "tau = np.array([1.0, 0.5, 0.2]); "
+        "b.equivalent_alpha(0.05, b.BoundInputs(tau, 3 * tau, 1.0, 1.0, 3, reference_params())); "
         "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
@@ -420,6 +424,43 @@ class TestEventLoop:
         finally:
             fh.close()
             sock.close()
+
+    def test_unread_verdicts_bounded(self, server):
+        # a peer that sends tuples and never reads gets only as many verified as
+        # its verdicts fill: one in the process, SEND_BUFFER_BYTES (doubled by
+        # the kernel) on the regulator side, its SO_RCVBUF (doubled) on its own
+        rcvbuf = 4096
+        slow = socket.socket()
+        slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+        slow.connect(server.address)
+        try:
+            hs = Handshake(uid="slow", mode="cr", d=3, p=3, epoch_len=10, params=quiet_params())
+            slow.sendall(encode_record(hs).encode() + b"\n")
+            slow.setblocking(False)
+            w, stalled, pending = 0, 0, b""
+            while stalled < 20:  # 0.5 s in which the socket takes no byte
+                if not pending:
+                    lines = [TestHostileRecords._cr_line("slow", w + k) for k in range(100)]
+                    pending, w = b"\n".join(lines) + b"\n", w + 100
+                try:
+                    n = slow.send(pending)
+                    pending, stalled = pending[n:], 0
+                except BlockingIOError:
+                    stalled += 1
+                    time.sleep(0.025)
+                assert w < 200_000, "the regulator never stopped reading the slow session"
+            summary = run_utility_client(
+                server.address, quiet_params(), default_scenario(), "cr", seed=2,
+                n_epochs=20, uid="fast", retry_delays=(0.05,),
+            )
+            assert summary.completed and len(summary.epochs) == 20
+        finally:
+            slow.close()
+        audit = Path(server.config.audit_path).read_text().splitlines()
+        verified = sum(' RX {"v":1,"mode":"cr","uid":"slow","w":' in line for line in audit)
+        shortest = len(encode_record(Verdict("slow", 0, 0, True))) + 1
+        in_kernel = (2 * netsvc.SEND_BUFFER_BYTES + 2 * rcvbuf) // shortest
+        assert 0 < verified <= in_kernel + 1
 
     def test_slow_reader_stalls_no_one(self, server):
         hs = Handshake(uid="slow", mode="cr", d=3, p=3, epoch_len=10, params=quiet_params())

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from dpalarm import protocol
+from dpalarm import bounds, protocol
 from dpalarm.config import default_scenario, reference_params
 from dpalarm.ekf import ResidualRecord
 from dpalarm.pipeline import derive_seed, epoch_stream, residual_stream
@@ -21,7 +23,7 @@ from dpalarm.protocol import (
     verify_pv,
 )
 from dpalarm.stats import central_chi2_quantile, noncentral_chi2_quantile
-from conftest import ScanNormTracker, random_psd
+from conftest import ScanNormTracker, bisect_invert, random_psd
 
 
 def make_records(rng, n, d=3, t0=1, scale=0.1):
@@ -542,3 +544,49 @@ class TestCachedTrackerEquivalence:
         assert len(cached) == 3 * self.N_EPOCHS
         assert n_cached == n_scanned >= 4  # several alpha_hat re-inversions
         assert cached == scanned
+
+
+class TestItpMatchesBisection:
+    """The ITP inversion gives the bisection's verdicts, and its tuples to rounding."""
+
+    N_EPOCHS = 400
+
+    @pytest.fixture(scope="class")
+    def aggs(self):
+        sc = default_scenario()
+        records = residual_stream(sc, self.N_EPOCHS * sc.epoch_len, seed=22)
+        return epoch_stream(records, sc)
+
+    def _wire_lines(self, aggs, mode):
+        sc = default_scenario()
+        session = UtilitySession(
+            uid="u0", mode=mode, params=reference_params(), d=sc.plant.d, alpha=sc.alpha,
+            rng=np.random.default_rng(derive_seed(22, 0, 1)), epoch_len=sc.epoch_len,
+        )
+        regulator = RegulatorSession(session.handshake())
+        tuples, verdicts = [], []
+        for agg in aggs:
+            res = session.process_epoch(agg)
+            tuples.append(encode_record(res.tuple_obj))
+            verdicts.append(encode_record(regulator.verify(res.tuple_obj)))
+        return tuples, verdicts
+
+    @pytest.mark.parametrize("mode", ["pv", "cr"])
+    def test_verdicts_identical(self, aggs, mode, monkeypatch):
+        itp_tuples, itp_verdicts = self._wire_lines(aggs, mode)
+        searches = []
+
+        def bisection(*args):
+            searches.append(1)
+            return bisect_invert(*args)
+
+        monkeypatch.setattr(bounds, "_itp_invert", bisection)
+        bis_tuples, bis_verdicts = self._wire_lines(aggs, mode)
+        assert len(searches) >= 4  # several alpha_hat re-inversions searched
+        assert itp_verdicts == bis_verdicts
+        key = "alpha_hat" if mode == "pv" else "thr"
+        for itp, bis in zip(itp_tuples, bis_tuples, strict=True):
+            itp, bis = json.loads(itp), json.loads(bis)
+            itp_value, bis_value = itp.pop(key), bis.pop(key)
+            assert itp == bis
+            assert abs(itp_value - bis_value) <= 1e-11 * abs(bis_value)
