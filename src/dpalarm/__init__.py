@@ -50,7 +50,6 @@ from .privacy import (
     gdp_perturb,
     gdp_sigma,
     laplace_max_bound,
-    noise_calibration_factor,
     perturb_covariance,
     sequential_disclose,
 )
@@ -74,12 +73,9 @@ from .stats import (
     TestOutcome,
     chi2_test,
     eig_factorize,
-    exp_cdf,
-    gamma_cdf,
     laplace_sample,
     noncentral_chi2_cdf,
     noncentral_chi2_quantile,
-    normal_cdf,
     whiten,
 )
 

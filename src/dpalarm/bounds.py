@@ -29,9 +29,9 @@ from scipy import special
 from .privacy import PrivacyParams
 from .stats import (
     CovFactorization,
+    central_chi2_quantile,
     noncentral_chi2_cdf,
     noncentral_chi2_quantile,
-    normal_cdf,
 )
 
 __all__ = [
@@ -206,8 +206,8 @@ class BoundInputs:
     def _weights(self) -> tuple[float, float]:
         """(omega_1, omega_2): tail weights of the two covariance-phase cases.
 
-        The Gamma(p, rate) and Exp(rate) CDFs are the ufuncs of
-        ``stats.gamma_cdf``/``stats.exp_cdf`` called on scalars, bit for bit.
+        omega_1 is the Gamma(p, rate) survival at res_energy * theta_l and
+        omega_2 the p-th power of the Exp(eps_cov/delta_l) CDF at theta_l.
         """
         params = self.params
         theta_l = params.theta_l(self.d)
@@ -440,8 +440,6 @@ def misclassification_bounds(
 
     Both clamped to [0, 1].
     """
-    from .stats import central_chi2_quantile
-
     w1, w2 = inputs._weights()
     p = inputs.p
     sigma2 = inputs.sigma**2
@@ -524,7 +522,7 @@ def statistic_privacy_profile(
     if eps_prime is not None and float(eps_prime) > eps_lb:
         increment = float(eps_prime) - eps_cov
     u = sigma**2 * increment / b - a / (2.0 * b)
-    delta_out = normal_cdf(u, 0.0, a) - normal_cdf(-u, 0.0, a)
+    delta_out = special.erf(u / math.sqrt(2.0 * a))  # Phi_a(u) - Phi_a(-u)
     return float(eps_cov + increment), _clamp01(delta_out)
 
 

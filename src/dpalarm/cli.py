@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
 from . import __version__
 from .bounds import (
@@ -59,10 +60,6 @@ def _header(seed: int, params: PrivacyParams, scenario: ScenarioConfig) -> str:
         f"# params_hash={params_hash(params, scenario)}\n"
         f"# version={__version__}\n"
     )
-
-
-def _central_pvalue(t_stat: float, p: int) -> float:
-    return 1.0 - noncentral_chi2_cdf(t_stat, p, 0.0)
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,7 @@ def _epoch_rows(epochs: list[PipelineEpoch], p: int) -> list[tuple]:
                 ep.w,
                 ep.result.t_stat,
                 ep.result.t_res_scaled,
-                _central_pvalue(ep.result.t_stat, p),
+                float(special.chdtrc(p, ep.result.t_stat)),
                 pv_dp,
                 ep.rho,
                 ep.rho_hat,
@@ -365,9 +362,10 @@ def cmd_ingest(csv_path: Path) -> tuple[list[ResidualRecord], int]:
     """Validate an externally produced residual stream.
 
     Schema violations (bad header, field counts, non-monotone t) raise with
-    the row number; rows whose covariance ``stats.eig_factorize`` refuses
-    (asymmetric or not PSD within its tolerance) are rejected and counted,
-    the rest form the validated stream.
+    the row number; rows with a non-finite residual or covariance entry, or
+    whose covariance ``stats.eig_factorize`` refuses (asymmetric or not PSD
+    within its tolerance), are rejected and counted, the rest form the
+    validated stream.
     """
     with open(csv_path, "r", encoding="utf-8") as fh:
         records = residuals_from_csv(fh)
@@ -378,6 +376,10 @@ def cmd_ingest(csv_path: Path) -> tuple[list[ResidualRecord], int]:
         if last_t is not None and rec.t <= last_t:
             raise ValueError(f"row {i}: step index {rec.t} not increasing (prev {last_t})")
         last_t = rec.t
+        # eig_factorize passes a covariance with some NaN entries
+        if not (np.isfinite(rec.r).all() and np.isfinite(rec.s).all()):
+            rejected += 1
+            continue
         try:
             eig_factorize(rec.s)  # the symmetric/PSD check every consumer applies
         except ValueError:  # numpy's LinAlgError (no convergence) is one too

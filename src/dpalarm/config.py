@@ -137,7 +137,6 @@ def parse_params_text(text: str) -> tuple[PrivacyParams, ScenarioConfig]:
         delta_r=fget("delta_r"),
         p=int(fget("p")),
         sigma=fget("sigma", 0.0),
-        use_calibration=bool(int(fget("use_calibration", 0))),
         eps_r_waiver=bool(int(fget("eps_r_waiver", 0))),
     )
     plant = default_spec(

@@ -3,8 +3,10 @@
 Phase one adds Laplace noise to the eigenvalues of the residual covariance
 (eigenvectors untouched), then floors them so the perturbed matrix stays
 invertible — flooring is post-processing and cannot weaken the guarantee.
-Phase two adds Gaussian noise N(0, sigma^2 I) to the whitened residual, with
-sigma calibrated from (delta_r, eps_r, gamma_r).
+Phase two adds Gaussian noise N(0, sigma^2 I) to the whitened residual.
+sigma is fixed with the parameters, never below the Gaussian-mechanism
+minimum set by (delta_r, eps_r, gamma_r), and each epoch is one disclosure:
+one Laplace draw on the eigenvalues, one Gaussian draw at that sigma.
 
 The sensitivities delta_l (eigenvalue l1) and delta_r (residual l2) are
 operator-supplied configuration; estimate them from a calibration run (max
@@ -14,7 +16,7 @@ observed eigenvalue / residual 2-norm), never silently self-calibrate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +31,6 @@ __all__ = [
     "laplace_max_bound",
     "perturb_covariance",
     "gdp_perturb",
-    "noise_calibration_factor",
     "sequential_disclose",
 ]
 
@@ -97,8 +98,7 @@ class PrivacyParams:
     """Full parameter set for the two-phase disclosure scheme.
 
     sigma defaults to the calibrated minimum; any explicit sigma below that
-    minimum is rejected. ``use_calibration`` switches on the dynamic noise
-    rescaling by the calibration factor during disclosure.
+    minimum is rejected.
     """
 
     eps_cov: float
@@ -109,7 +109,6 @@ class PrivacyParams:
     delta_r: float
     p: int
     sigma: float = 0.0
-    use_calibration: bool = False
     eps_r_waiver: bool = False
 
     def __post_init__(self):
@@ -143,9 +142,6 @@ class PrivacyParams:
     def theta_l(self, d: int) -> float:
         return laplace_max_bound(self.delta_l, self.eps_cov, self.gamma_cov, d)
 
-    def with_sigma(self, sigma: float) -> "PrivacyParams":
-        return replace(self, sigma=float(sigma))
-
     def to_flat(self) -> dict:
         return {
             "eps_cov": self.eps_cov,
@@ -156,7 +152,6 @@ class PrivacyParams:
             "delta_r": self.delta_r,
             "p": self.p,
             "sigma": self.sigma,
-            "use_calibration": int(self.use_calibration),
         }
 
     @classmethod
@@ -170,7 +165,6 @@ class PrivacyParams:
             delta_r=float(obj["delta_r"]),
             p=int(obj["p"]),
             sigma=float(obj.get("sigma", 0.0)),
-            use_calibration=bool(int(obj.get("use_calibration", 0))),
             eps_r_waiver=True,
         )
 
@@ -241,18 +235,6 @@ def gdp_perturb(
     return tau + e, e
 
 
-def noise_calibration_factor(tau_cov_max: np.ndarray, quantile: float) -> float:
-    """Dynamic noise scaling mu = ||tau_cov_max||^2 / quantile.
-
-    The calibrated variance is mu * sigma_min^2; applied only when
-    PrivacyParams.use_calibration is set.
-    """
-    if quantile <= 0:
-        raise ValueError(f"quantile must be > 0, got {quantile}")
-    tau_cov_max = np.asarray(tau_cov_max, dtype=float)
-    return float(tau_cov_max @ tau_cov_max) / float(quantile)
-
-
 @dataclass(frozen=True)
 class Disclosure:
     """Output of the sequential two-phase disclosure for one epoch."""
@@ -262,7 +244,6 @@ class Disclosure:
     tau_res_hat: np.ndarray
     tau_rg: np.ndarray
     noise: np.ndarray
-    sigma: float
 
     @property
     def s_hat(self) -> np.ndarray:
@@ -282,24 +263,20 @@ def sequential_disclose(
     s_w: np.ndarray,
     params: PrivacyParams,
     rng: np.random.Generator,
-    sigma: float | None = None,
 ) -> Disclosure:
     """Apply covariance perturbation then residual perturbation.
 
     tau_cov_hat whitens the raw residual with the perturbed factorization;
     tau_res_hat adds the Gaussian noise; tau_rg lifts that noise back to the
     sensor frame (r_w + V_p sqrt(lam_p) e) so a regulator whitening tau_rg
-    with s_hat recovers tau_res_hat exactly.
-
-    ``sigma`` overrides params.sigma (used by the calibration-factor path).
+    with s_hat recovers tau_res_hat exactly. The noise scale is params.sigma.
     """
     r_w = np.asarray(r_w, dtype=float)
     if not np.all(np.isfinite(r_w)):
         raise ValueError("residual must be finite")
     pert = perturb_covariance(s_w, params.delta_l, params.eps_cov, rng, p=params.p)
     tau_cov_hat = whiten(r_w, pert.fac)
-    sig = params.sigma if sigma is None else float(sigma)
-    tau_res_hat, e = gdp_perturb(tau_cov_hat, sig, rng)
+    tau_res_hat, e = gdp_perturb(tau_cov_hat, params.sigma, rng)
     vec_p, lam_p = pert.fac.retained()
     tau_rg = r_w + vec_p @ (np.sqrt(lam_p) * e)
     return Disclosure(
@@ -308,5 +285,4 @@ def sequential_disclose(
         tau_res_hat=tau_res_hat,
         tau_rg=tau_rg,
         noise=e,
-        sigma=sig,
     )

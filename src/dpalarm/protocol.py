@@ -34,7 +34,7 @@ import numpy as np
 
 from .bounds import AlphaInversion, BoundInputs, NormTracker, equivalent_alpha
 from .ekf import ResidualRecord
-from .privacy import PrivacyParams, noise_calibration_factor, sequential_disclose
+from .privacy import PrivacyParams, sequential_disclose
 from .stats import chi2_test, eig_factorize, noncentral_chi2_cdf, noncentral_chi2_quantile, whiten
 
 __all__ = [
@@ -272,19 +272,9 @@ class UtilitySession:
         inversion = self._alpha_hat(tau_max, r_max)
         alpha_hat = inversion.alpha_hat
 
-        sigma = disc.sigma
+        sigma = params.sigma
         nc = float(disc.tau_cov_hat @ disc.tau_cov_hat) / sigma**2
         q = noncentral_chi2_quantile(alpha_hat, params.p, nc)
-
-        if params.use_calibration:
-            mu = noise_calibration_factor(inputs.tau_cov_max, q)
-            sigma_cal = float(np.sqrt(mu)) * params.sigma
-            if sigma_cal > 0.0 and not math.isclose(sigma_cal, sigma):
-                disc = sequential_disclose(agg.r_w, agg.s_w, params, self.rng, sigma=sigma_cal)
-                sigma = sigma_cal
-                nc = float(disc.tau_cov_hat @ disc.tau_cov_hat) / sigma**2
-                q = noncentral_chi2_quantile(alpha_hat, params.p, nc)
-
         threshold = sigma**2 * q
         t_res = disc.t_res_hat / sigma**2
         t_cov = disc.t_cov_hat / sigma**2

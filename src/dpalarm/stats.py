@@ -2,9 +2,8 @@
 
 Covariance eigenfactorization and whitening, the chi-square alarm test, the
 noncentral chi-square CDF and upper quantile (thin checked wrappers over the
-``scipy.special`` ufuncs ``chndtr`` / ``chndtrix``), plus the auxiliary
-distributions (gamma, exponential, Laplace, normal) consumed by the privacy
-bound calculators.
+``scipy.special`` ufuncs ``chndtr`` / ``chndtrix``), plus the Laplace sampler
+of the covariance phase.
 
 All functions are pure and safe for unrestricted parallel use.
 """
@@ -26,10 +25,7 @@ __all__ = [
     "central_chi2_quantile",
     "noncentral_chi2_cdf",
     "noncentral_chi2_quantile",
-    "gamma_cdf",
-    "exp_cdf",
     "laplace_sample",
-    "normal_cdf",
 ]
 
 @dataclass(frozen=True)
@@ -243,36 +239,9 @@ def noncentral_chi2_quantile(alpha_upper: float, k: float, lam: float) -> float:
     return q
 
 
-def gamma_cdf(x, shape: float, rate: float):
-    """CDF of Gamma(shape, rate) via the regularized lower incomplete gamma."""
-    if shape <= 0.0 or rate <= 0.0:
-        raise ValueError(f"shape and rate must be > 0, got {shape}, {rate}")
-    x_arr = np.asarray(x, dtype=float)
-    out = np.where(x_arr > 0.0, special.gammainc(shape, rate * np.maximum(x_arr, 0.0)), 0.0)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def exp_cdf(x, rate: float):
-    """CDF of Exp(rate)."""
-    if rate <= 0.0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    x_arr = np.asarray(x, dtype=float)
-    out = np.where(x_arr > 0.0, -np.expm1(-rate * np.maximum(x_arr, 0.0)), 0.0)
-    return float(out) if np.ndim(x) == 0 else out
-
-
 def laplace_sample(scale: float, rng: np.random.Generator, size=None):
     """Inverse-CDF sampling of Laplace(0, scale)."""
     if scale < 0.0:
         raise ValueError(f"scale must be >= 0, got {scale}")
     u = rng.random(size) - 0.5
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-
-
-def normal_cdf(x, mean: float = 0.0, var: float = 1.0):
-    """erf-based CDF of N(mean, var)."""
-    if var <= 0.0:
-        raise ValueError(f"variance must be > 0, got {var}")
-    z = (np.asarray(x, dtype=float) - mean) / np.sqrt(2.0 * var)
-    out = 0.5 * (1.0 + special.erf(z))
-    return float(out) if np.ndim(x) == 0 else out

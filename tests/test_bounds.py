@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
 from dpalarm import bounds
 from dpalarm.bounds import (
@@ -21,7 +22,7 @@ from dpalarm.bounds import (
     type1_upper_bound,
 )
 from dpalarm.privacy import PrivacyParams, gaussian_sum_bound, laplace_max_bound, perturb_covariance
-from dpalarm.stats import eig_factorize, exp_cdf, gamma_cdf, whiten
+from dpalarm.stats import eig_factorize, whiten
 from conftest import ScanNormTracker, bisect_invert, random_psd
 
 
@@ -50,7 +51,6 @@ def make_inputs(
         p=p,
         sigma=max(sigma, 2.0 * np.sqrt(2 * np.log(1.25 / gamma_r))),
     )
-    params = params.with_sigma(sigma) if sigma >= params.sigma_min else params
     # force the requested sigma even below the calibrated floor for bound math
     object.__setattr__(params, "sigma", float(sigma))
     return BoundInputs(
@@ -349,6 +349,9 @@ class TestStatisticPrivacyProfile:
         eps_lb, _ = statistic_privacy_profile(1.0, 2.0, delta, np.eye(2))
         _, dprime = statistic_privacy_profile(1.0, 2.0, delta, np.eye(2), eps_prime=eps_lb + 0.5)
         assert 0.0 < dprime <= 1.0
+        # a = 2, b = sqrt(2), sigma^2 (eps' - eps_cov) = 3: u = (3 - a/2)/b = sqrt(2)
+        u = sd = math.sqrt(2.0)
+        assert dprime == pytest.approx(sps.norm.cdf(u, scale=sd) - sps.norm.cdf(-u, scale=sd), rel=1e-12)
 
     def test_nonpositive_quadratic_rejected(self):
         with pytest.raises(ValueError, match="positive"):
@@ -546,6 +549,7 @@ class TestInversionMatchesPublicBound:
             check_against_references(target, inputs, monkeypatch)
 
     def test_weights_match_stats_wrappers(self):
+        # the scipy.stats gamma survival and exponential CDF as the reference
         for _, inputs in inversion_grid():
             params = inputs.params
             theta_l = params.theta_l(inputs.d)
@@ -553,10 +557,10 @@ class TestInversionMatchesPublicBound:
             if inputs.r_max <= 0.0:
                 w1 = 1.0 if arg <= 0.0 else 0.0
             else:
-                rate = params.eps_cov / (params.delta_l * inputs.r_max**2)
-                w1 = 1.0 - gamma_cdf(arg, shape=inputs.p, rate=rate)
-            w2 = exp_cdf(theta_l, rate=params.eps_cov / params.delta_l) ** inputs.p
-            assert inputs._weights() == (w1, w2)
+                scale = params.delta_l * inputs.r_max**2 / params.eps_cov
+                w1 = sps.gamma.sf(arg, a=inputs.p, scale=scale)
+            w2 = sps.expon.cdf(theta_l, scale=params.delta_l / params.eps_cov) ** inputs.p
+            assert inputs._weights() == pytest.approx((w1, w2), rel=1e-10, abs=0.0)
 
     def test_weights_evaluated_once_per_inversion(self, monkeypatch):
         calls = []

@@ -42,7 +42,7 @@ def read_csv(path):
 
 class TestParamsFile:
     def test_roundtrip(self):
-        params = reference_params(use_calibration=True)
+        params = reference_params()
         sc = default_scenario(
             attack=AttackSpec("bias", frozenset({0, 2}), 0.5, 100, 900)
         )
@@ -275,9 +275,12 @@ class TestIngest:
             "2,0.1,0.2,-1.0,0.0,0.0,1.0",  # negative eigenvalue
             "3,0.1,0.2,1.0,0.9,0.2,1.0",  # asymmetric
             "4,0.1,0.2,2.0,0.0,0.0,2.0",
+            "5,nan,0.2,1.0,0.0,0.0,1.0",
+            "6,inf,0.2,1.0,0.0,0.0,1.0",
+            "7,0.1,0.2,nan,0.0,0.0,1.0",  # eig_factorize alone passes this one
         ]
         ok, rejected = cmd_ingest(self._write(tmp_path, [header] + rows))
-        assert rejected == 2
+        assert rejected == 5
         assert [r.t for r in ok] == [1, 4]
 
 

@@ -221,6 +221,22 @@ class TestHarness:
         assert len(pairs) == 20
         assert all(logged == replayed for logged, replayed in pairs)
 
+    def test_audit_with_retired_params_key_replays(self, tmp_path):
+        # handshakes that carried the retired dynamic-noise flag still decode
+        # to the same params, and their audits replay byte-exactly
+        audit = tmp_path / "a.log"
+        assert not run_harness(self._config(n=1, epochs=200), audit).partial
+        lines = audit.read_text().splitlines(keepends=True)
+        i = next(k for k, ln in enumerate(lines) if '"params":' in ln)
+        record = lines[i].split(" ", 2)[2].rstrip("\n")
+        old = record[:-2] + ',"use_calibration":1}}'
+        assert decode_record(old) == decode_record(record)
+        lines[i] = lines[i].replace(record, old)
+        audit.write_text("".join(lines))
+        pairs = replay_audit(audit)
+        assert len(pairs) == 200
+        assert all(logged == replayed for logged, replayed in pairs)
+
     def test_concurrent_sessions_different_dims(self, tmp_path, server):
         # one session keeps all three components, the other retains two;
         # both negotiate their own dims at handshake and stay isolated
@@ -266,13 +282,15 @@ class TestHarness:
 
 
 def test_import_loads_no_scipy_optimize_or_stats():
-    # the regulator process pays resident memory and start-up for every module,
-    # and a lazy import in the alpha_hat search would load one at the first epoch
+    # the regulator process pays resident memory and start-up for every module
+    # (so does every CLI run), and a lazy import in the alpha_hat search or a
+    # bound evaluator would load one at its first call
     code = (
-        "import sys, numpy as np, dpalarm.netsvc, dpalarm.bounds as b; "
+        "import sys, numpy as np, dpalarm.netsvc, dpalarm.cli, dpalarm.bounds as b; "
         "from dpalarm.config import reference_params; "
         "tau = np.array([1.0, 0.5, 0.2]); "
         "b.equivalent_alpha(0.05, b.BoundInputs(tau, 3 * tau, 1.0, 1.0, 3, reference_params())); "
+        "b.statistic_privacy_profile(100.0, 2.0, tau, np.eye(3), eps_prime=200.0); "
         "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)

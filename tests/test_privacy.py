@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from dpalarm.config import default_scenario, format_params_text, parse_params_text
 from dpalarm.privacy import (
     PrivacyParams,
     gaussian_sum_bound,
     gdp_perturb,
     gdp_sigma,
     laplace_max_bound,
-    noise_calibration_factor,
     perturb_covariance,
     sequential_disclose,
 )
@@ -82,8 +84,19 @@ class TestPrivacyParams:
         assert p.sigma == pytest.approx(gdp_sigma(1.0, 0.5, 0.01))
 
     def test_sigma_below_minimum_rejected(self):
+        # every route that builds params: constructor, replace, wire, params file
         with pytest.raises(ValueError, match="minimum"):
             PrivacyParams(1.0, 0.5, 0.01, 0.01, 0.1, 1.0, 3, sigma=0.1)
+        p = PrivacyParams(1.0, 0.5, 0.01, 0.01, 0.1, 1.0, 3)
+        low = 0.5 * p.sigma_min
+        with pytest.raises(ValueError, match="minimum"):
+            dataclasses.replace(p, sigma=low)
+        with pytest.raises(ValueError, match="minimum"):
+            PrivacyParams.from_flat({**p.to_flat(), "sigma": low})
+        text = format_params_text(p, default_scenario())
+        assert f"sigma={p.sigma}\n" in text
+        with pytest.raises(ValueError, match="minimum"):
+            parse_params_text(text.replace(f"sigma={p.sigma}", f"sigma={low}"))
 
     def test_sigma_above_minimum_ok(self):
         p = PrivacyParams(1.0, 0.5, 0.01, 0.01, 0.1, 1.0, 3, sigma=100.0)
@@ -96,7 +109,7 @@ class TestPrivacyParams:
         assert p.eps_r == 5.0
 
     def test_flat_roundtrip(self):
-        p = PrivacyParams(2.0, 0.7, 0.05, 0.02, 0.3, 4.0, 2, use_calibration=True)
+        p = PrivacyParams(2.0, 0.7, 0.05, 0.02, 0.3, 4.0, 2)
         q = PrivacyParams.from_flat(p.to_flat())
         assert q.to_flat() == p.to_flat()
 
@@ -176,26 +189,6 @@ class TestGdpPerturb:
             assert frac >= target - 3 * np.sqrt(target * (1 - target) / n)
 
 
-class TestCalibrationFactor:
-    def test_identity_point(self):
-        tau = np.array([2.0, 1.0])
-        assert noise_calibration_factor(tau, 5.0) == pytest.approx(1.0)
-
-    def test_linear_scaling(self):
-        tau = np.array([1.0, 1.0])
-        assert noise_calibration_factor(2.0 * tau, 4.0) == pytest.approx(
-            4.0 * noise_calibration_factor(tau, 4.0)
-        )
-
-    def test_attack_epoch_larger(self, rng):
-        quantile = 10.0
-        null_tau = rng.standard_normal(3)
-        attack_tau = null_tau + np.array([8.0, 0.0, 0.0])
-        assert noise_calibration_factor(attack_tau, quantile) > noise_calibration_factor(
-            null_tau, quantile
-        )
-
-
 class TestSequentialDisclose:
     def _params(self):
         return PrivacyParams(
@@ -207,10 +200,10 @@ class TestSequentialDisclose:
         s = random_psd(rng, 3, (1.0, 4.0))
         r = rng.normal(size=3)
         params = PrivacyParams(
-            eps_cov=1e12, eps_r=0.5, gamma_cov=0.01, gamma_r=0.01,
-            delta_l=0.1, delta_r=1.0, p=3,
+            eps_cov=1e12, eps_r=1e12, gamma_cov=0.01, gamma_r=0.01,
+            delta_l=0.1, delta_r=1.0, p=3, eps_r_waiver=True,
         )
-        disc = sequential_disclose(r, s, params, rng, sigma=1e-30)
+        disc = sequential_disclose(r, s, params, rng)
         expect = whiten(r, eig_factorize(s, count=3))
         assert np.max(np.abs(np.sort(disc.tau_res_hat) - np.sort(expect))) < 1e-6
 

@@ -466,14 +466,15 @@ class TestDecoderHardening:
         with pytest.raises(ProtocolError, match=r"handshake\.params"):
             decode_record(line.replace('"eps_cov":100', '"eps_cov":' + self.BIG))
         with pytest.raises(ProtocolError, match=r"handshake\.params"):
-            decode_record(line.replace('"use_calibration":0', '"use_calibration":1e400'))
+            decode_record(line.replace('"p":3,"sigma"', '"p":1e400,"sigma"'))
 
     def test_nonfinite_handshake_params(self):
         # accepted by from_flat, but the handshake could not be re-encoded
         line = self._handshake_line()
-        sigma = line.split('"sigma":')[1].split(",")[0]
+        obj = json.loads(line)
+        obj["params"]["sigma"] = "nan"
         with pytest.raises(ProtocolError, match=r"handshake\.params\.sigma: non-finite"):
-            decode_record(line.replace(sigma, '"nan"'))
+            decode_record(json.dumps(obj))
         with pytest.raises(ProtocolError, match=r"handshake\.params\.eps_r: non-finite"):
             decode_record(line.replace('"eps_r":0.5', '"eps_r":"inf"'))
 
