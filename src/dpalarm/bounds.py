@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
@@ -278,27 +278,6 @@ class AlphaInversion:
     achieved: float
     target: float
     degenerate: bool
-    mc_estimate: float | None = None
-    mc_se: float | None = None
-
-
-def _mc_type1_estimate(
-    alpha_hat: float, inputs: BoundInputs, n_mc: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the Type-I upper bound's survival terms."""
-    w1, w2 = inputs._weights()
-    p = inputs.p
-    q = noncentral_chi2_quantile(alpha_hat, p, inputs.scaled_nc_current())
-    mu_cur = inputs.tau_cov_hat / inputs.sigma
-    mu_max = inputs.tau_cov_max / inputs.sigma
-    z = rng.standard_normal((n_mc, p))
-    s_cur_hat = float(np.mean(((z + mu_cur) ** 2).sum(axis=1) > q))
-    s_max_hat = float(np.mean(((z + mu_max) ** 2).sum(axis=1) > q))
-    est = _clamp01(w1 * s_cur_hat + w2 * s_max_hat)
-    var = (
-        w1**2 * s_cur_hat * (1.0 - s_cur_hat) + w2**2 * s_max_hat * (1.0 - s_max_hat)
-    ) / n_mc
-    return est, float(np.sqrt(var))
 
 
 def _itp_invert(
@@ -350,76 +329,55 @@ def _itp_invert(
     return lo, f_lo
 
 
-def equivalent_alpha(
-    alpha_target: float,
-    inputs: BoundInputs,
-    n_mc: int = 10_000,
-    rng: np.random.Generator | None = None,
-) -> AlphaInversion:
+def equivalent_alpha(alpha_target: float, inputs: BoundInputs) -> AlphaInversion:
     """Solve for the alpha_hat whose worst-case Type-I error equals alpha_target.
 
-    Brackets alpha_hat in [1e-12, alpha_target] and narrows the bracket by ITP
-    (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS 47(1),
-    2020) on x = ln alpha_hat, exploiting monotonicity of the bound. The
-    interpolation is regula falsi in alpha_hat itself, where the bound is
+    The solution is analytic and deterministic: it reads only alpha_target and
+    ``inputs`` and draws nothing. Checking the bound against simulation is the
+    caller's job (the bounds demo and tests do it).
+
+    Brackets alpha_hat in [ALPHA_FLOOR, alpha_target] and narrows the bracket
+    by ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS
+    47(1), 2020) on x = ln alpha_hat, exploiting monotonicity of the bound.
+    The interpolation is regula falsi in alpha_hat itself, where the bound is
     nearly linear, so a typical inversion takes about 10 bound evaluations;
     the projection bounds the worst case at one step more than log-space
-    bisection's (48 evaluations against 47 at alpha_target = 0.05).
-    It stops once hi/lo < 1 + ALPHA_RTOL and returns lo, the bracket side
-    whose bound is <= the target (the other side's bound exceeds it). The
-    bound is built once per inversion (one evaluation of the weights and
+    bisection's (48 evaluations against 47 at alpha_target = 0.05). The bound
+    is built once per inversion (one evaluation of the weights and
     noncentralities), so each step costs one noncentral chi-square quantile
     and one CDF; every value equals type1_upper_bound at the same alpha_hat
-    bit for bit. When the bound at alpha_target already meets the target no
-    inversion is needed and alpha_target is returned; the degenerate flag is
-    set only if the bound there falls short of the target by more than the
-    bracket's relative width ALPHA_RTOL, or if it exceeds the target even at
-    the floor (then the floor is returned). With ``n_mc`` > 0 a Monte Carlo
-    re-estimate of the bound at the solution is attached (estimate and
-    standard error), matching the simulation route for computing the
-    equivalent level.
+    bit for bit.
+
+    Returns one of three outcomes, ``achieved`` always being the bound at the
+    returned alpha_hat:
+      * the bound at alpha_target already meets the target: alpha_target, not
+        inverted, flagged degenerate only if the bound falls short of the
+        target by more than the bracket's relative width ALPHA_RTOL;
+      * the bound exceeds the target even at ALPHA_FLOOR: the floor, flagged
+        degenerate;
+      * otherwise the bracket side lo whose bound is <= the target, once
+        hi/lo < 1 + ALPHA_RTOL (the other side's bound exceeds it).
     """
     if not 0.0 < alpha_target < 1.0:
         raise ValueError(f"alpha_target must be in (0,1), got {alpha_target}")
-    if 0 < n_mc < 1000:
-        raise ValueError(f"n_mc must be 0 or >= 1000, got {n_mc}")
 
     bound = _type1_bound(inputs)
     hi = alpha_target
     f_hi = bound(hi)
     if f_hi <= alpha_target:
-        result = AlphaInversion(
+        return AlphaInversion(
             alpha_hat=alpha_target,
             achieved=f_hi,
             target=alpha_target,
             degenerate=f_hi < alpha_target * (1.0 - ALPHA_RTOL),
         )
-    else:
-        lo = ALPHA_FLOOR
-        f_lo = bound(lo)
-        if f_lo > alpha_target:
-            # bound exceeds the target even at the floor: return the floor
-            result = AlphaInversion(
-                alpha_hat=lo, achieved=f_lo, target=alpha_target, degenerate=True
-            )
-        else:
-            lo, f_lo = _itp_invert(bound, alpha_target, lo, f_lo, hi, f_hi)
-            result = AlphaInversion(
-                alpha_hat=lo, achieved=f_lo, target=alpha_target, degenerate=False
-            )
-
-    if n_mc > 0:
-        rng = np.random.default_rng(0) if rng is None else rng
-        est, se = _mc_type1_estimate(result.alpha_hat, inputs, n_mc, rng)
-        result = AlphaInversion(
-            alpha_hat=result.alpha_hat,
-            achieved=result.achieved,
-            target=result.target,
-            degenerate=result.degenerate,
-            mc_estimate=est,
-            mc_se=se,
-        )
-    return result
+    lo = ALPHA_FLOOR
+    f_lo = bound(lo)
+    if f_lo > alpha_target:
+        # bound exceeds the target even at the floor: return the floor
+        return AlphaInversion(alpha_hat=lo, achieved=f_lo, target=alpha_target, degenerate=True)
+    lo, f_lo = _itp_invert(bound, alpha_target, lo, f_lo, hi, f_hi)
+    return AlphaInversion(alpha_hat=lo, achieved=f_lo, target=alpha_target, degenerate=False)
 
 
 def misclassification_bounds(
@@ -544,29 +502,11 @@ class BoundReport:
     eps_prime: float
     delta_prime: float
     seed: int
-    n_mc: int
 
     def to_flat(self) -> dict[str, str]:
-        """Flat key-value form for audit logs and report files."""
+        """Flat key-value form for audit logs and report files, in field order."""
         out = {}
-        for k, v in self.__dict__.items():
-            out[k] = str(v) if isinstance(v, int) else format(float(v), ".17g")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = str(v) if isinstance(v, int) else format(float(v), ".17g")
         return out
-
-    FIELDS = (
-        "cov_gap_bound",
-        "cov_gap_confidence",
-        "gap_low",
-        "gap_high",
-        "gap_joint_prob",
-        "type1_upper",
-        "alpha_hat",
-        "miss_bound",
-        "false_alarm_bound",
-        "cr_loss",
-        "cr_loss_prob",
-        "eps_prime",
-        "delta_prime",
-        "seed",
-        "n_mc",
-    )

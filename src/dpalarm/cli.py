@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 SWEEPABLE = ("eps_cov", "eps_r", "gamma_cov", "gamma_r")
+ATTACK_WINDOW_S = 800.0  # the designated attack window that caps align checkpoints
 
 
 def _header(seed: int, params: PrivacyParams, scenario: ScenarioConfig) -> str:
@@ -82,8 +83,10 @@ class SweepConfig:
             raise ValueError("repeats must be >= 1")
 
     def params_for(self, value: float) -> PrivacyParams:
-        # sigma re-derives from the minimum whenever the GDP inputs change
-        return replace(self.base, **{self.param: float(value)}, sigma=0.0)
+        # sigma re-derives from its minimum only when the swept parameter
+        # enters that minimum; otherwise the base's sigma is kept
+        sigma = 0.0 if self.param in ("eps_r", "gamma_r") else self.base.sigma
+        return replace(self.base, **{self.param: float(value)}, sigma=sigma)
 
 
 def cmd_simulate(
@@ -213,7 +216,6 @@ def cmd_align(
     checkpoints_s: tuple[float, ...] = (200.0, 400.0, 600.0),
     repeats: int = 50,
     mode: str = "cr",
-    attack_window_s: float = 800.0,
 ) -> list[AlignmentRow]:
     """Count runs where DP and non-DP detection both fire by each checkpoint.
 
@@ -226,8 +228,8 @@ def cmd_align(
         raise ValueError("alignment needs an attacked scenario")
     sec_per_epoch = scenario.epoch_seconds
     max_cp = max(checkpoints_s)
-    if max_cp > attack_window_s:
-        raise ValueError(f"checkpoint {max_cp}s exceeds the {attack_window_s}s attack window")
+    if max_cp > ATTACK_WINDOW_S:
+        raise ValueError(f"checkpoint {max_cp}s exceeds the {ATTACK_WINDOW_S}s attack window")
     window_steps = (attack.t_end - attack.t_start + 1) * scenario.plant.dt
     if window_steps < max_cp:
         raise ValueError(
@@ -300,10 +302,9 @@ def build_bound_report(
     params: PrivacyParams,
     seed: int,
     n_epochs: int = 30,
-    n_mc: int = 10_000,
 ) -> BoundReport:
     """Evaluate every bound at the final epoch snapshot of a seeded run."""
-    epochs, session = run_pipeline(scenario, params, n_epochs, seed=seed, mode="cr", n_mc=n_mc)
+    epochs, session = run_pipeline(scenario, params, n_epochs, seed=seed, mode="cr")
     last = epochs[-1]
     inputs = session.last_inputs
     inversion = session.last_inversion
@@ -339,7 +340,6 @@ def build_bound_report(
         eps_prime=eps_prime,
         delta_prime=delta_prime,
         seed=seed,
-        n_mc=n_mc,
     )
 
 

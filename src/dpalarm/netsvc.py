@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig
-from .ekf import ResidualRecord, residuals_from_csv
+from .ekf import residuals_from_csv
 from .pipeline import derive_seed, epoch_stream, residual_stream
 from .privacy import PrivacyParams
 from .protocol import (
@@ -431,11 +431,6 @@ def _connect_with_retry(
     raise ConnectionError(f"could not connect to {addr}: {last}")
 
 
-def _csv_records(path: str | Path) -> list[ResidualRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return residuals_from_csv(fh)
-
-
 def run_utility_client(
     regulator_addr: tuple[str, int],
     params: PrivacyParams,
@@ -458,7 +453,8 @@ def run_utility_client(
     """
     summary = ClientSummary(uid=uid, completed=False)
     if csv_source is not None:
-        records = _csv_records(csv_source)
+        with open(csv_source, "r", encoding="utf-8") as fh:
+            records = residuals_from_csv(fh)
     else:
         records = residual_stream(scenario, n_epochs * scenario.epoch_len, seed, utility_index)
     if records and records[0].d != scenario.plant.d:

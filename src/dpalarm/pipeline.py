@@ -112,7 +112,6 @@ def run_pipeline(
     mode: str = "pv",
     utility_index: int = 0,
     uid: str = "u0",
-    n_mc: int = 0,
 ) -> tuple[list[PipelineEpoch], UtilitySession]:
     """Full loopback run of one utility against an in-process regulator."""
     records = residual_stream(scenario, n_epochs * scenario.epoch_len, seed, utility_index)
@@ -126,7 +125,6 @@ def run_pipeline(
         alpha=scenario.alpha,
         rng=sess_rng,
         epoch_len=scenario.epoch_len,
-        n_mc=n_mc,
     )
     hs = session.handshake()
     regulator = RegulatorSession(hs)

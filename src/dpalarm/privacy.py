@@ -34,7 +34,7 @@ __all__ = [
     "sequential_disclose",
 ]
 
-DEFAULT_EIGENVALUE_FLOOR_FRAC = 1e-8
+EIGENVALUE_FLOOR_FRAC = 1e-8
 
 
 def gdp_sigma(
@@ -192,12 +192,11 @@ def perturb_covariance(
     eps_cov: float,
     rng: np.random.Generator,
     p: int | None = None,
-    floor_frac: float = DEFAULT_EIGENVALUE_FLOOR_FRAC,
 ) -> PerturbedCovariance:
     """Laplace eigenvalue perturbation of a symmetric PSD matrix.
 
     Each eigenvalue gets i.i.d. Laplace(0, delta_l/eps_cov) noise, then is
-    floored at floor_frac * trace(S)/d so the perturbed matrix stays
+    floored at EIGENVALUE_FLOOR_FRAC * trace(S)/d so the perturbed matrix stays
     invertible. Eigenvectors are left unperturbed.
     """
     fac0 = eig_factorize(s, count=p)
@@ -205,7 +204,7 @@ def perturb_covariance(
     scale = delta_l / eps_cov
     noise = laplace_sample(scale, rng, size=d)
     lam_raw = fac0.lambdas + noise
-    floor = floor_frac * max(float(np.trace(np.asarray(s))), 0.0) / d
+    floor = EIGENVALUE_FLOOR_FRAC * max(float(np.trace(np.asarray(s))), 0.0) / d
     lam_clamped = np.maximum(lam_raw, floor)
     clamp_count = int(np.sum(lam_raw < floor))
 

@@ -54,6 +54,7 @@ __all__ = [
 
 PROTOCOL_VERSION = 1
 ALPHA_RECOMPUTE_DRIFT = 0.10  # refresh alpha_hat when tau_max norm moves >10%
+TRACKER_WINDOW = 50  # epochs the window maxima and the energy median look back
 # Most accepted epoch indices a regulator session holds outside its contiguous
 # run; a tuple that would hold one more is rejected.
 MAX_OUT_OF_ORDER = 1024
@@ -95,7 +96,7 @@ def aggregate_epoch(
     r_w = np.sum([rec.r for rec in records], axis=0)
     s_w = np.sum([rec.s for rec in records], axis=0)
     fac = eig_factorize(s_w, count=p)
-    outcome = chi2_test(whiten(r_w, fac), alpha, dof=p)
+    outcome = chi2_test(whiten(r_w, fac), alpha)
     return EpochAggregate(
         w=w,
         r_w=r_w,
@@ -184,8 +185,6 @@ class UtilitySession:
         alpha: float,
         rng: np.random.Generator,
         epoch_len: int = 1,
-        tracker_window: int = 50,
-        n_mc: int = 0,
     ):
         if mode not in ("cr", "pv"):
             raise ValueError(f"mode must be 'cr' or 'pv', got {mode!r}")
@@ -196,13 +195,11 @@ class UtilitySession:
         self.d = d
         self.alpha = float(alpha)
         self.rng = rng
-        self.n_mc = n_mc
-        self.tau_tracker = NormTracker(tracker_window)
-        self.r_tracker = NormTracker(tracker_window)
-        self._energy_window: deque[float] = deque(maxlen=tracker_window)
+        self.tau_tracker = NormTracker(TRACKER_WINDOW)
+        self.r_tracker = NormTracker(TRACKER_WINDOW)
+        self._energy_window: deque[float] = deque(maxlen=TRACKER_WINDOW)
         self._alpha_cache: AlphaInversion | None = None
         self._alpha_cache_norm: float = 0.0
-        self.epoch_count = 0
         self.last_inputs: BoundInputs | None = None
         self.last_inversion: AlphaInversion | None = None
 
@@ -241,7 +238,7 @@ class UtilitySession:
         )
         if stale:
             self.last_inversion = equivalent_alpha(
-                self.alpha, self._representative_inputs(tau_max, r_max), n_mc=self.n_mc
+                self.alpha, self._representative_inputs(tau_max, r_max)
             )
             self._alpha_cache = self.last_inversion
             self._alpha_cache_norm = cur_norm
@@ -299,7 +296,6 @@ class UtilitySession:
                 rho=agg.rho,
             )
 
-        self.epoch_count += 1
         self.last_inputs = inputs
         return EpochResult(
             w=agg.w,

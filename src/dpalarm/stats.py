@@ -79,21 +79,16 @@ def _check_symmetric(s: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def eig_factorize(
-    s: np.ndarray,
-    count: int | None = None,
-    variance_fraction: float | None = None,
-) -> CovFactorization:
+def eig_factorize(s: np.ndarray, count: int | None = None) -> CovFactorization:
     """Factorize a symmetric PSD matrix with a deterministic sign convention.
 
-    Exactly one of ``count`` / ``variance_fraction`` selects the retained
-    component count p; with neither given, all d components are kept.
-    ``variance_fraction=q`` keeps the smallest p whose leading eigenvalues
-    cover at least fraction q of the total.
+    Eigenvalues come out descending, clipped at 0 from below. ``count`` is
+    the number p of leading components retained for whitening; None keeps
+    all d.
 
     Raises:
         ValueError: non-symmetric input, an eigenvalue below
-            -1e-8 * trace, or an invalid selector.
+            -1e-8 * max(trace, 1), or a count outside [1, d].
     """
     s = _check_symmetric(s)
     d = s.shape[0]
@@ -115,24 +110,9 @@ def eig_factorize(
     k = abs(vec).argmax(axis=0)
     vec *= np.where(vec[k, np.arange(d)] < 0, -1.0, 1.0)
 
-    if count is not None and variance_fraction is not None:
-        raise ValueError("give either count or variance_fraction, not both")
-    if count is not None:
-        p = int(count)
-        if not 1 <= p <= d:
-            raise ValueError(f"count must be in [1, {d}], got {count}")
-    elif variance_fraction is not None:
-        q = float(variance_fraction)
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"variance_fraction must be in (0, 1], got {q}")
-        total = float(lam.sum())
-        if total <= 0.0:
-            raise ValueError("variance_fraction selection needs a nonzero spectrum")
-        frac = np.cumsum(lam) / total
-        p = int(np.searchsorted(frac, q - 1e-15) + 1)
-        p = min(p, d)
-    else:
-        p = d
+    p = d if count is None else int(count)
+    if not 1 <= p <= d:
+        raise ValueError(f"count must be in [1, {d}], got {count}")
 
     return CovFactorization(vectors=vec, lambdas=lam, p=p)
 
@@ -164,19 +144,17 @@ def central_chi2_quantile(alpha_upper: float, k: float) -> float:
     return float(2.0 * special.gammaincinv(k / 2.0, 1.0 - alpha_upper))
 
 
-def chi2_test(tau: np.ndarray, alpha: float, dof: int | None = None) -> TestOutcome:
+def chi2_test(tau: np.ndarray, alpha: float) -> TestOutcome:
     """Chi-square alarm test on a whitened residual.
 
     The statistic is ||tau||^2; the alarm fires (rho=1) strictly above the
-    central chi-square upper-alpha quantile at ``dof`` degrees of freedom
-    (default: len(tau)).
+    central chi-square upper-alpha quantile at len(tau) degrees of freedom.
     """
     tau = np.asarray(tau, dtype=float)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    p = len(tau) if dof is None else int(dof)
     t_stat = float(tau @ tau)
-    threshold = central_chi2_quantile(alpha, p)
+    threshold = central_chi2_quantile(alpha, len(tau))
     return TestOutcome(
         tau=tau,
         t_stat=t_stat,

@@ -159,7 +159,7 @@ def test_04_gap_interval_coverage():
 def test_05_type1_domination():
     # Monte Carlo Type-I rate at the regulator on a null scenario stays below
     # the worst-case bound at the inverted significance level, and the
-    # inversion achieves the target within max(5% relative, MC error)
+    # inversion achieves the target within 5% relative
     t0 = time.time()
     params = reference_params()
     ok = True
@@ -171,8 +171,7 @@ def test_05_type1_domination():
         inv = sess.last_inversion
         bound = inv.achieved
         ok &= rate <= bound
-        tol = max(0.05 * alpha, inv.mc_se or 0.0)
-        ok &= abs(inv.achieved - alpha) < tol
+        ok &= abs(inv.achieved - alpha) < 0.05 * alpha
         detail.append(
             f"a={alpha:g}:rate={rate:.4f}<=bound={bound:.4f},ahat={inv.alpha_hat:.4f}"
         )
@@ -250,7 +249,7 @@ def _random_aggregates(rng, n, d=3, w0=0):
     for i in range(n):
         s = random_psd(rng, d, (0.5, 3.0))
         r = np.linalg.cholesky(s) @ rng.standard_normal(d) * rng.uniform(0.5, 3.0)
-        out = chi2_test(whiten(r, eig_factorize(s, count=d)), 0.05, dof=d)
+        out = chi2_test(whiten(r, eig_factorize(s, count=d)), 0.05)
         aggs.append(
             EpochAggregate(w=w0 + i, r_w=r, s_w=s, rho=out.rho, n_steps=1, t_stat=out.t_stat)
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from dpalarm.bounds import (
     type1_upper_bound,
 )
 from dpalarm.privacy import PrivacyParams, gaussian_sum_bound, laplace_max_bound, perturb_covariance
-from dpalarm.stats import eig_factorize, whiten
+from dpalarm.stats import eig_factorize, noncentral_chi2_quantile, whiten
 from conftest import ScanNormTracker, bisect_invert, random_psd
 
 
@@ -234,7 +235,7 @@ class TestEquivalentAlpha:
         # current residual energy equal to the window max)
         inputs = make_inputs([1.3], res_energy=1.0, r_max=1.0, p=1, d=3)
         for target in (0.05, 0.01):
-            inv = equivalent_alpha(target, inputs, n_mc=0)
+            inv = equivalent_alpha(target, inputs)
             assert not inv.degenerate
             assert inv.alpha_hat == pytest.approx(target, rel=1e-6)
             assert inv.achieved == pytest.approx(target, rel=1e-6)
@@ -242,7 +243,7 @@ class TestEquivalentAlpha:
     def test_monotone_in_target(self):
         inputs = make_inputs([1.0, 0.8, 0.5], tau_max=[2.5, 1.5, 1.0])
         hats = [
-            equivalent_alpha(a, inputs, n_mc=0).alpha_hat for a in (0.01, 0.05, 0.1)
+            equivalent_alpha(a, inputs).alpha_hat for a in (0.01, 0.05, 0.1)
         ]
         assert np.all(np.diff(hats) > 0)
 
@@ -250,28 +251,31 @@ class TestEquivalentAlpha:
         # res_energy above r_max^2 drives the gamma-tail weight low enough
         # that the bound at the target is already below it
         inputs = make_inputs([1.0, 0.8, 0.5], res_energy=2.0, r_max=1.0, gamma_cov=0.05)
-        inv = equivalent_alpha(0.05, inputs, n_mc=0)
+        inv = equivalent_alpha(0.05, inputs)
         assert inv.degenerate
         assert inv.alpha_hat == 0.05
         assert inv.achieved <= 0.05
 
     def test_mc_estimate_attached(self):
+        # simulate the bound's two survival terms at alpha_hat: the scaled
+        # statistic is ||z + tau/sigma||^2 under the current and the max tau
         inputs = make_inputs([1.0, 0.8, 0.5], tau_max=[2.0, 1.2, 0.8])
-        inv = equivalent_alpha(0.05, inputs, n_mc=20_000, rng=np.random.default_rng(3))
-        assert inv.mc_estimate is not None
-        assert abs(inv.mc_estimate - inv.achieved) < max(0.05 * 0.05, 4 * inv.mc_se)
+        inv = equivalent_alpha(0.05, inputs)
+        w1, w2 = inputs._weights()
+        q = noncentral_chi2_quantile(inv.alpha_hat, inputs.p, inputs.scaled_nc_current())
+        z = np.random.default_rng(3).standard_normal((20_000, inputs.p))
+        s_cur = np.mean(((z + inputs.tau_cov_hat / inputs.sigma) ** 2).sum(axis=1) > q)
+        s_max = np.mean(((z + inputs.tau_cov_max / inputs.sigma) ** 2).sum(axis=1) > q)
+        estimate = w1 * s_cur + w2 * s_max
+        se = math.sqrt((w1**2 * s_cur * (1 - s_cur) + w2**2 * s_max * (1 - s_max)) / len(z))
+        assert abs(estimate - inv.achieved) < max(0.05 * 0.05, 4 * se)
 
     def test_underflowing_r_max_is_a_degenerate_window(self):
         # r_max^2 underflows to 0: the limit of the gamma tail, not a division by zero
         zero = make_inputs([1.0, 0.8, 0.5], res_energy=0.0, r_max=0.0)
         tiny = make_inputs([1.0, 0.8, 0.5], res_energy=0.0, r_max=1e-200)
         assert tiny._weights() == zero._weights()
-        assert equivalent_alpha(0.05, tiny, n_mc=0) == equivalent_alpha(0.05, zero, n_mc=0)
-
-    def test_bad_n_mc(self):
-        inputs = make_inputs([1.0])
-        with pytest.raises(ValueError):
-            equivalent_alpha(0.05, inputs, n_mc=10)
+        assert equivalent_alpha(0.05, tiny) == equivalent_alpha(0.05, zero)
 
 
 class TestMisclassificationBounds:
@@ -374,8 +378,8 @@ class TestEvaluatorPurity:
         ]
         for a, b in pairs:
             assert a == b
-        inv_a = equivalent_alpha(0.05, inputs, n_mc=2000)
-        inv_b = equivalent_alpha(0.05, inputs, n_mc=2000)
+        inv_a = equivalent_alpha(0.05, inputs)
+        inv_b = equivalent_alpha(0.05, inputs)
         assert inv_a == inv_b
 
 
@@ -396,14 +400,14 @@ class TestBoundReport:
             eps_prime=100.0,
             delta_prime=0.0,
             seed=7,
-            n_mc=1000,
         )
         flat = report.to_flat()
-        assert set(flat.keys()) == set(BoundReport.FIELDS)
+        assert list(flat) == [f.name for f in dataclasses.fields(BoundReport)]
+        assert flat["seed"] == "7" and flat["alpha_hat"] == "0.01"
 
 
 def public_inversion(alpha_target, inputs, search):
-    """equivalent_alpha (n_mc=0) on the public bound, narrowing by ``search``.
+    """equivalent_alpha on the public bound, narrowing by ``search``.
 
     ``search(bound, target, lo, f_lo, hi, f_hi)`` returns the final (lo, f_lo,
     hi). Returns (alpha_hat, achieved, degenerate, branch, hi), hi None
@@ -499,7 +503,7 @@ def count_evaluations(monkeypatch, solve):
 
 def check_against_references(target, inputs, monkeypatch):
     """Every property the inversion keeps; returns (branch, degenerate, evaluations)."""
-    inv, n_itp = count_evaluations(monkeypatch, lambda: equivalent_alpha(target, inputs, n_mc=0))
+    inv, n_itp = count_evaluations(monkeypatch, lambda: equivalent_alpha(target, inputs))
     alpha_hat, achieved, degenerate, branch, hi = reference_inversion(target, inputs)
     # bit for bit the ITP on the public bound, so the private bound is the public one
     assert (inv.alpha_hat, inv.achieved, inv.degenerate) == (alpha_hat, achieved, degenerate)
@@ -573,5 +577,5 @@ class TestInversionMatchesPublicBound:
         monkeypatch.setattr(BoundInputs, "_weights", counting)
         for target, inputs in inversion_grid()[:24]:
             calls.clear()
-            equivalent_alpha(target, inputs, n_mc=0)
+            equivalent_alpha(target, inputs)
             assert len(calls) == 1

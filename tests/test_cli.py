@@ -1,9 +1,11 @@
+import dataclasses
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from dpalarm import cli
 from dpalarm.cli import (
     SweepConfig,
     build_bound_report,
@@ -17,6 +19,7 @@ from dpalarm.cli import (
 from dpalarm.config import (
     default_scenario,
     format_params_text,
+    params_hash,
     reference_params,
     parse_params_text,
 )
@@ -143,6 +146,23 @@ class TestSweep:
         assert "# failed value=-1" in text
         assert any(line.startswith("200,") for line in text.splitlines())
 
+    def test_params_for_keeps_an_explicit_sigma(self):
+        # eps_cov and gamma_cov do not enter sigma's minimum
+        base = reference_params(sigma=2.0 * reference_params().sigma)
+        for param, value in (("eps_cov", 10.0), ("gamma_cov", 0.05)):
+            cfg = SweepConfig(param=param, grid=(value,), base=base, scenario=default_scenario())
+            cell = cfg.params_for(value)
+            assert getattr(cell, param) == value
+            assert cell.sigma == base.sigma
+
+    def test_params_for_rederives_sigma_from_its_inputs(self):
+        base = reference_params(sigma=2.0 * reference_params().sigma)
+        for param, value in (("eps_r", 2e-3), ("gamma_r", 0.05)):
+            cfg = SweepConfig(param=param, grid=(value,), base=base, scenario=default_scenario())
+            cell = cfg.params_for(value)
+            assert getattr(cell, param) == value
+            assert cell.sigma == cell.sigma_min < base.sigma
+
     def test_invalid_param_rejected(self):
         with pytest.raises(ValueError, match="sweep parameter"):
             SweepConfig(
@@ -222,7 +242,7 @@ class TestBoundsReport:
         cmd_bounds_report(sc, params, seed=9, out_path=path, n_epochs=12)
         text = path.read_text()
         keys = {line.split("=")[0] for line in text.splitlines() if "=" in line and not line.startswith("#")}
-        assert set(BoundReport.FIELDS) <= keys
+        assert keys == {f.name for f in dataclasses.fields(BoundReport)}
         # deterministic regeneration: identical headers imply identical output
         path2 = tmp_path / "report2.txt"
         cmd_bounds_report(sc, params, seed=9, out_path=path2, n_epochs=12)
@@ -233,7 +253,7 @@ class TestBoundsReport:
             eps_cov=1e12, eps_r=0.5, gamma_cov=0.01, gamma_r=0.01,
             delta_l=1e-9, delta_r=1e-3, p=3, sigma=5e-2,
         )
-        report = build_bound_report(default_scenario(), params, seed=2, n_epochs=10, n_mc=0)
+        report = build_bound_report(default_scenario(), params, seed=2, n_epochs=10)
         # statistic-disclosure budget collapses to the covariance budget
         assert report.eps_prime == pytest.approx(1e12, rel=1e-9)
         assert report.delta_prime == 0.0
@@ -282,6 +302,69 @@ class TestIngest:
         ok, rejected = cmd_ingest(self._write(tmp_path, [header] + rows))
         assert rejected == 5
         assert [r.t for r in ok] == [1, 4]
+
+
+def _outputs(out_dir):
+    return {p.relative_to(out_dir): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def _header_hash(path):
+    for line in path.read_text().splitlines():
+        if line.startswith("# params_hash="):
+            return line.split("=", 1)[1]
+    raise AssertionError(f"{path} has no params_hash header")
+
+
+class TestReproducibility:
+    """Every output-writing subcommand gives the same bytes for the same seed."""
+
+    def _run_twice(self, tmp_path, capsys, argv):
+        outs = []
+        for run in ("a", "b"):
+            out_dir = tmp_path / run
+            assert cli.main(["--seed", "4", "--out", str(out_dir)] + argv) == 0
+            printed = capsys.readouterr().out.replace(str(out_dir), "OUT")
+            outs.append((printed, _outputs(out_dir) if out_dir.exists() else {}))
+        assert outs[0] == outs[1]
+        return tmp_path / "a", outs[0][0]
+
+    def _params_file(self, tmp_path, params, scenario):
+        path = tmp_path / "params.txt"
+        path.write_text(format_params_text(params, scenario))
+        return ["--params", str(path)]
+
+    def test_same_seed_same_bytes(self, tmp_path, capsys):
+        out, _ = self._run_twice(tmp_path / "sim", capsys, ["simulate", "--steps", "40", "--residuals"])
+        assert sorted(p.name for p in out.iterdir()) == ["residuals.csv", "trace.csv"]
+
+        # an explicit sigma that the eps_cov cells must keep
+        base = reference_params(sigma=2.0 * reference_params().sigma)
+        sc = default_scenario()
+        argv = self._params_file(tmp_path, base, sc)
+        cfg = SweepConfig(param="eps_cov", grid=(10.0, 100.0), base=base, scenario=sc)
+        out, _ = self._run_twice(
+            tmp_path / "sweep", capsys,
+            argv + ["sweep", "--param", "eps_cov", "--values", "10,100", "--epochs", "4", "--repeats", "1"],
+        )
+        for value in cfg.grid:
+            cell = out / f"sweep_eps_cov_{value:g}_rep0.csv"
+            assert _header_hash(cell) == params_hash(cfg.params_for(value), sc)
+        assert _header_hash(out / "sweep_eps_cov_summary.csv") == params_hash(base, sc)
+
+        attacked = attacked_scenario()
+        argv = self._params_file(tmp_path, reference_params(), attacked)
+        out, _ = self._run_twice(
+            tmp_path / "align", capsys, argv + ["align", "--repeats", "1", "--checkpoints", "3"]
+        )
+        assert _header_hash(out / "alignment.csv") == params_hash(reference_params(), attacked)
+
+        _, printed = self._run_twice(
+            tmp_path / "fa", capsys, ["false-alarms", "--repeats", "1", "--epochs", "20"]
+        )
+        assert printed.startswith("false_alarm_rate=")
+
+        out, _ = self._run_twice(tmp_path / "br", capsys, ["bounds-report", "--epochs", "12"])
+        assert _header_hash(out / "bounds_report.txt") == params_hash(reference_params(), sc)
 
 
 class TestMainEntry:

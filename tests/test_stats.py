@@ -16,7 +16,8 @@ from conftest import random_psd
 
 class TestEigFactorize:
     def test_identity_variance_fraction(self):
-        fac = eig_factorize(np.eye(3), variance_fraction=0.95)
+        # no selector keeps every component, whatever share of variance
+        fac = eig_factorize(np.eye(3))
         assert np.allclose(fac.lambdas, 1.0)
         assert fac.p == 3
 
@@ -25,6 +26,12 @@ class TestEigFactorize:
         assert fac.p == 1
         assert fac.lambdas[0] == pytest.approx(4.0)
         assert np.allclose(fac.vectors[:, 0], [1.0, 0.0])
+        s = np.diag([3.0, 1.0, 0.0])
+        assert eig_factorize(s, count=None).p == 3
+        assert eig_factorize(s, count=3).p == 3
+        for bad in (0, 4):
+            with pytest.raises(ValueError, match=r"count must be in \[1, 3\]"):
+                eig_factorize(s, count=bad)
 
     def test_reconstruction_random_psd(self, rng):
         for _ in range(300):
@@ -51,13 +58,6 @@ class TestEigFactorize:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="PSD"):
             eig_factorize(np.diag([1.0, -0.5]))
-
-    def test_variance_fraction_boundaries(self):
-        s = np.diag([3.0, 1.0, 0.0])
-        assert eig_factorize(s, variance_fraction=0.75).p == 1
-        assert eig_factorize(s, variance_fraction=0.76).p == 2
-        # the zero eigenvalue adds no coverage, so p stops at 2
-        assert eig_factorize(s, variance_fraction=1.0).p == 2
 
 
 class TestWhiten:
@@ -105,7 +105,7 @@ class TestChi2Test:
 
     def test_classical_threshold(self):
         # independent oracle: scipy central quantile
-        out = chi2_test(np.zeros(1), 0.05, dof=1)
+        out = chi2_test(np.zeros(1), 0.05)
         assert out.threshold == pytest.approx(3.8415, abs=1e-3)
         assert out.threshold == pytest.approx(sps.chi2.ppf(0.95, 1), abs=1e-10)
 
