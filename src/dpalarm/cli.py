@@ -143,16 +143,20 @@ def cmd_sweep(config: SweepConfig, seed: int, out_dir: Path) -> Path:
     """Run the sweep; one per-epoch CSV per cell plus a summary envelope file.
 
     Per-run failures are recorded in the summary and the sweep continues.
+    The summary's header carries one ``# cell value= params_hash=`` line per
+    grid value whose params could be built, the hash of what that cell ran.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_path = out_dir / f"sweep_{config.param}_summary.csv"
     failures = []
     per_value: dict[float, list[list[tuple]]] = {}
+    cell_hashes: dict[float, str] = {}
     for vi, value in enumerate(config.grid):
         runs = []
         for rep in range(config.repeats):
             try:
                 params = config.params_for(value)
+                cell_hashes[value] = params_hash(params, config.scenario)
                 epochs, _ = run_pipeline(
                     config.scenario,
                     params,
@@ -177,7 +181,10 @@ def cmd_sweep(config: SweepConfig, seed: int, out_dir: Path) -> Path:
         per_value[value] = runs
 
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_header(seed, config.base, config.scenario))
+        fh.write(f"# seed={seed}\n")
+        for value, h in cell_hashes.items():
+            fh.write(f"# cell value={value:g} params_hash={h}\n")
+        fh.write(f"# version={__version__}\n")
         fh.write(f"# param={config.param} repeats={config.repeats}\n")
         for value, rep, msg in failures:
             fh.write(f"# failed value={value} rep={rep}: {msg}\n")

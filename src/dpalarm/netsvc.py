@@ -572,7 +572,8 @@ def replay_audit(audit_path: str | Path) -> list[tuple[str, str]]:
 
     Returns (logged_verdict, replayed_verdict) pairs in log order, one per
     decodable tuple record; RX tuples and their TX verdicts are logged
-    atomically, so pairing is positional. A faithful log replays byte-exactly.
+    atomically, so pairing is positional. A faithful log replays byte-exactly;
+    such a pair holds the one string twice.
     """
     sessions: dict[str, RegulatorSession] = {}
     pairs: list[tuple[str, str]] = []
@@ -588,7 +589,8 @@ def replay_audit(audit_path: str | Path) -> list[tuple[str, str]]:
                 raise ProtocolError(f"malformed audit line: {raw!r}") from exc
             if direction == "TX":
                 if pending is not None:
-                    pairs.append((record, pending))
+                    # a verdict that replays byte-exactly is kept once, not twice
+                    pairs.append((record, record) if pending == record else (record, pending))
                     pending = None
                 continue  # unpaired TX lines (handshake errors) carry no tuple
             if direction != "RX":

@@ -480,85 +480,78 @@ class RegulatorSession:
 # --- wire format -----------------------------------------------------------
 
 
+# What ``json.dumps`` writes for a str, without its argument handling.
+_fmt_str = json.encoder.encode_basestring_ascii
+
+
 def _fmt_float(v: float) -> str:
+    v = float(v)
     if not math.isfinite(v):
         raise ProtocolError(f"non-finite number on the wire: {v}")
-    return format(float(v), ".17g")
+    return format(v, ".17g")
 
 
-def _emit(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v))
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return "[" + ",".join(_emit(x) for x in np.asarray(v).reshape(-1)) + "]"
-    if isinstance(v, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_emit(x)}" for k, x in v.items()) + "}"
-    raise ProtocolError(f"cannot serialize {type(v).__name__}")
+def _fmt_floats(a) -> str:
+    """Any array as a flat JSON array of floats, in C order."""
+    return "[" + ",".join([_fmt_float(x) for x in np.asarray(a, dtype=float).ravel().tolist()]) + "]"
 
 
-def _emit_record(fields: dict) -> str:
-    return "{" + ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in fields.items()) + "}"
+def _fmt_number(v) -> str:
+    """A float as in _fmt_float, an int (or bool) as its integer literal."""
+    return _fmt_float(v) if isinstance(v, (float, np.floating)) else str(int(v))
+
+
+# One fixed-layout formatter per record type. Keys come in wire order, ints
+# (bools included) as integer literals, floats with 17 significant digits;
+# the bytes are the wire's, so logged records replay byte for byte.
+
+
+def _handshake_line(h: Handshake) -> str:
+    params = ",".join(f"{_fmt_str(k)}:{_fmt_number(v)}" for k, v in h.params.to_flat().items())
+    return (
+        f'{{"v":{PROTOCOL_VERSION},"mode":{_fmt_str(h.mode)},"uid":{_fmt_str(h.uid)},'
+        f'"d":{int(h.d)},"p":{int(h.p)},"W":{int(h.epoch_len)},"params":{{{params}}}}}'
+    )
+
+
+def _cr_line(t: CrTuple) -> str:
+    return (
+        f'{{"v":{PROTOCOL_VERSION},"mode":"cr","uid":{_fmt_str(t.uid)},"w":{int(t.w)},'
+        f'"s_hat":{_fmt_floats(t.s_hat)},"tau_rg":{_fmt_floats(t.tau_rg)},'
+        f'"thr":{_fmt_float(t.threshold)},"rho":{int(t.rho)}}}'
+    )
+
+
+def _pv_line(t: PvTuple) -> str:
+    return (
+        f'{{"v":{PROTOCOL_VERSION},"mode":"pv","uid":{_fmt_str(t.uid)},"w":{int(t.w)},'
+        f'"t_res":{_fmt_float(t.t_res)},"t_cov":{_fmt_float(t.t_cov)},'
+        f'"alpha_hat":{_fmt_float(t.alpha_hat)},"rho":{int(t.rho)}}}'
+    )
+
+
+def _verdict_line(v: Verdict) -> str:
+    line = (
+        f'{{"v":{PROTOCOL_VERSION},"uid":{_fmt_str(v.uid)},"w":{int(v.w)},'
+        f'"rho_hat":{int(v.rho_hat)},"matched":{int(v.matched)}'
+    )
+    if v.pvalue is not None:
+        line += f',"pvalue":{_fmt_float(v.pvalue)}'
+    if v.reason is not None:
+        line += f',"reason":{_fmt_str(v.reason)}'
+    return line + "}"
 
 
 def encode_record(obj) -> str:
     """Serialize a handshake, tuple, or verdict to one wire line (no newline)."""
-    if isinstance(obj, Handshake):
-        return _emit_record(
-            {
-                "v": PROTOCOL_VERSION,
-                "mode": obj.mode,
-                "uid": obj.uid,
-                "d": obj.d,
-                "p": obj.p,
-                "W": obj.epoch_len,
-                "params": obj.params.to_flat(),
-            }
-        )
-    if isinstance(obj, CrTuple):
-        return _emit_record(
-            {
-                "v": PROTOCOL_VERSION,
-                "mode": "cr",
-                "uid": obj.uid,
-                "w": obj.w,
-                "s_hat": np.asarray(obj.s_hat, dtype=float).reshape(-1),
-                "tau_rg": np.asarray(obj.tau_rg, dtype=float),
-                "thr": float(obj.threshold),
-                "rho": int(obj.rho),
-            }
-        )
-    if isinstance(obj, PvTuple):
-        return _emit_record(
-            {
-                "v": PROTOCOL_VERSION,
-                "mode": "pv",
-                "uid": obj.uid,
-                "w": obj.w,
-                "t_res": float(obj.t_res),
-                "t_cov": float(obj.t_cov),
-                "alpha_hat": float(obj.alpha_hat),
-                "rho": int(obj.rho),
-            }
-        )
     if isinstance(obj, Verdict):
-        fields = {
-            "v": PROTOCOL_VERSION,
-            "uid": obj.uid,
-            "w": obj.w,
-            "rho_hat": int(obj.rho_hat),
-            "matched": int(obj.matched),
-        }
-        if obj.pvalue is not None:
-            fields["pvalue"] = float(obj.pvalue)
-        if obj.reason is not None:
-            fields["reason"] = obj.reason
-        return _emit_record(fields)
+        return _verdict_line(obj)
+    if isinstance(obj, CrTuple):
+        return _cr_line(obj)
+    if isinstance(obj, PvTuple):
+        return _pv_line(obj)
+    if isinstance(obj, Handshake):
+        return _handshake_line(obj)
     raise ProtocolError(f"cannot encode {type(obj).__name__}")
 
 

@@ -68,10 +68,12 @@ class TestOutcome:
     alpha: float
 
 
+# Below this magnitude a finite x has 0.5 * (x + x) == x bit for bit, so
+# symmetrising a bitwise symmetric matrix is the identity.
+_EXACT_HALF_SUM_MAX = 2.0**1023
+
+
 def _check_symmetric(s: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {s.shape}")
     scale = max(1.0, float(abs(s).max()))
     asym = float(abs(s - s.T).max())
     if asym > tol * scale:
@@ -84,37 +86,60 @@ def eig_factorize(s: np.ndarray, count: int | None = None) -> CovFactorization:
 
     Eigenvalues come out descending, clipped at 0 from below. ``count`` is
     the number p of leading components retained for whitening; None keeps
-    all d.
+    all d. The matrix passed to LAPACK is 0.5 * (s + s^T): s itself when s is
+    bitwise symmetric with finite entries below 2**1023 in magnitude, else
+    built (after the symmetry check) on the arrays.
+
+    NaN entries pass without raising: a NaN asymmetry or eigenvalue fails no
+    comparison, so the factorization carries the NaN. Callers that need a
+    finite covariance check for it themselves, as ``cli.cmd_ingest`` does.
 
     Raises:
-        ValueError: non-symmetric input, an eigenvalue below
+        ValueError: non-square or non-symmetric input, an eigenvalue below
             -1e-8 * max(trace, 1), or a count outside [1, d].
     """
-    s = _check_symmetric(s)
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {s.shape}")
     d = s.shape[0]
-    lam, vec = np.linalg.eigh(s)
-    # eigh returns ascending; flip to descending (a C-contiguous copy: a
-    # negative-stride view would take another matmul path downstream)
-    lam = lam[::-1].copy()
-    vec = vec[:, ::-1].copy()
-
-    trace = float(s.trace())
-    if lam[-1] < -1e-8 * max(trace, 1.0):
-        raise ValueError(
-            f"matrix not PSD: smallest eigenvalue {lam[-1]:.3e} "
-            f"below tolerance for trace {trace:.3e}"
-        )
-    lam = np.maximum(lam, 0.0)
+    # bitwise: -0.0 facing 0.0 is symmetric by value but not after symmetrising
+    exact = d and s.tobytes() == s.T.tobytes()
+    if not (exact and math.hypot(*s.ravel().tolist()) < _EXACT_HALF_SUM_MAX):
+        s = _check_symmetric(s)
+    lam, vec = np.linalg.eigh(s)  # ascending
+    lam_desc = lam.tolist()[::-1]
+    lam_min = lam_desc[-1]
+    # max(trace, 1) >= 1 (or NaN, which fails the test), so only an eigenvalue
+    # below -1e-8 can fail it: the trace is read only then
+    if lam_min < -1e-8:
+        trace = float(s.trace())
+        if lam_min < -1e-8 * max(trace, 1.0):
+            raise ValueError(
+                f"matrix not PSD: smallest eigenvalue {lam_min:.3e} "
+                f"below tolerance for trace {trace:.3e}"
+            )
 
     # Sign convention: largest-magnitude component of each column positive.
-    k = abs(vec).argmax(axis=0)
-    vec *= np.where(vec[k, np.arange(d)] < 0, -1.0, 1.0)
+    # index(max) is np.argmax's first maximum; a column holding a NaN keeps
+    # its sign, as np.argmax would pick the NaN.
+    cols = []
+    for col in reversed(vec.T.tolist()):
+        mags = list(map(abs, col))
+        if col[mags.index(max(mags))] < 0.0 and not math.isnan(sum(mags)):
+            col = [-x for x in col]
+        cols.append(col)
 
     p = d if count is None else int(count)
     if not 1 <= p <= d:
         raise ValueError(f"count must be in [1, {d}], got {count}")
 
-    return CovFactorization(vectors=vec, lambdas=lam, p=p)
+    return CovFactorization(
+        # C-contiguous, as a transposed view would take another matmul path
+        vectors=np.array(cols).T.copy(),
+        # np.maximum(x, 0.0) clamp: -0.0 becomes 0.0, NaN passes
+        lambdas=np.array([0.0 if x <= 0.0 else x for x in lam_desc]),
+        p=p,
+    )
 
 
 def whiten(r: np.ndarray, fac: CovFactorization) -> np.ndarray:
@@ -129,12 +154,12 @@ def whiten(r: np.ndarray, fac: CovFactorization) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (fac.d,):
         raise ValueError(f"residual length {r.shape} does not match d={fac.d}")
-    vec, lam = fac.retained()
-    if np.any(lam <= 0.0):
+    lam = fac.lambdas[: fac.p]
+    if any(x <= 0.0 for x in lam.tolist()):
         raise ValueError(
             "retained eigenvalue <= 0; clamp eigenvalues upstream before whitening"
         )
-    return (vec.T @ r) / np.sqrt(lam)
+    return (fac.vectors[:, : fac.p].T @ r) / np.sqrt(lam)
 
 
 def central_chi2_quantile(alpha_upper: float, k: float) -> float:

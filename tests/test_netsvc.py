@@ -221,6 +221,39 @@ class TestHarness:
         assert len(pairs) == 20
         assert all(logged == replayed for logged, replayed in pairs)
 
+    def test_replay_keeps_one_string_per_exact_verdict(self, tmp_path):
+        audit = tmp_path / "a.log"
+        assert not run_harness(self._config(n=1, epochs=5), audit).partial
+        pairs = replay_audit(audit)
+        assert len(pairs) == 5
+        assert all(logged is replayed for logged, replayed in pairs)
+        # a tampered TX line still yields its own string beside the replayed one
+        lines = audit.read_text().splitlines(keepends=True)
+        i = max(k for k, ln in enumerate(lines) if " TX " in ln)
+        tampered = lines[i].replace('"matched":1', '"matched":0')
+        assert tampered != lines[i]
+        lines[i] = tampered
+        audit.write_text("".join(lines))
+        *exact, (logged, replayed) = replay_audit(audit)
+        assert all(a is b for a, b in exact)
+        assert logged == tampered.split(" ", 2)[2].rstrip("\n")
+        assert logged != replayed and '"matched":1' in replayed
+
+    def test_audit_records_reproducible(self, tmp_path):
+        # the same seed gives each uid the same sequence of audit records;
+        # only the timestamps and the interleaving of sessions may differ
+        runs = []
+        for name in ("a.log", "b.log"):
+            assert not run_harness(self._config(n=2, epochs=15), tmp_path / name).partial
+            per_uid = {}
+            for line in (tmp_path / name).read_text().splitlines():
+                _stamp, direction, record = line.split(" ", 2)
+                per_uid.setdefault(decode_record(record).uid, []).append((direction, record))
+            runs.append(per_uid)
+        assert sorted(runs[0]) == ["u0", "u1"]
+        assert all(len(recs) == 1 + 2 * 15 for recs in runs[0].values())
+        assert runs[0] == runs[1]
+
     def test_audit_with_retired_params_key_replays(self, tmp_path):
         # handshakes that carried the retired dynamic-noise flag still decode
         # to the same params, and their audits replay byte-exactly

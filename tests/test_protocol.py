@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dpalarm import bounds, protocol
+from dpalarm import bounds, privacy, protocol
 from dpalarm.config import default_scenario, reference_params
 from dpalarm.ekf import ResidualRecord
 from dpalarm.pipeline import derive_seed, epoch_stream, residual_stream
@@ -23,7 +25,14 @@ from dpalarm.protocol import (
     verify_pv,
 )
 from dpalarm.stats import central_chi2_quantile, noncentral_chi2_quantile
-from conftest import ScanNormTracker, bisect_invert, random_psd
+from conftest import (
+    ScanNormTracker,
+    bisect_invert,
+    random_psd,
+    reference_eig_factorize,
+    reference_encode_record,
+    reference_whiten,
+)
 
 
 def make_records(rng, n, d=3, t0=1, scale=0.1):
@@ -545,6 +554,115 @@ class TestCachedTrackerEquivalence:
         assert len(cached) == 3 * self.N_EPOCHS
         assert n_cached == n_scanned >= 4  # several alpha_hat re-inversions
         assert cached == scanned
+
+
+WIRE_INTS = st.one_of(st.integers(-(2**70), 2**70), st.integers(-(2**63), 2**63 - 1).map(np.int64), st.booleans())
+WIRE_FLOATS = st.one_of(  # NaN and infinities included: both encoders must refuse them alike
+    st.floats(width=64), st.floats(width=64).map(np.float64), st.floats(width=32).map(np.float32)
+)
+WIRE_TEXT = st.text(max_size=12)
+
+
+@st.composite
+def privacy_params(draw):
+    unit = st.floats(1e-6, 0.999)
+    positive = st.floats(1e-3, 1e3)
+    try:
+        return PrivacyParams(
+            eps_cov=draw(positive), eps_r=draw(positive), gamma_cov=draw(unit), gamma_r=draw(unit),
+            delta_l=draw(positive), delta_r=draw(positive),
+            p=draw(st.one_of(st.integers(1, 4), st.integers(1, 4).map(np.int64))),
+            eps_r_waiver=True,
+        )
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def wire_records(draw):
+    kind = draw(st.sampled_from(["handshake", "cr", "pv", "verdict"]))
+    uid, w = draw(WIRE_TEXT), draw(WIRE_INTS)
+    if kind == "handshake":
+        return Handshake(
+            uid=uid, mode=draw(st.sampled_from(["cr", "pv"])), d=draw(WIRE_INTS), p=draw(WIRE_INTS),
+            epoch_len=draw(WIRE_INTS), params=draw(privacy_params()),
+        )
+    if kind == "cr":
+        d = draw(st.integers(1, 4))
+        return CrTuple(
+            uid=uid, w=w,
+            s_hat=np.array(draw(st.lists(WIRE_FLOATS, min_size=d * d, max_size=d * d))).reshape(d, d),
+            tau_rg=np.array(draw(st.lists(WIRE_FLOATS, min_size=d, max_size=d))),
+            threshold=draw(WIRE_FLOATS), rho=draw(WIRE_INTS),
+        )
+    if kind == "pv":
+        return PvTuple(
+            uid=uid, w=w, t_res=draw(WIRE_FLOATS), t_cov=draw(WIRE_FLOATS),
+            alpha_hat=draw(WIRE_FLOATS), rho=draw(WIRE_INTS),
+        )
+    return Verdict(
+        uid=uid, w=w, rho_hat=draw(WIRE_INTS), matched=draw(st.booleans()),
+        pvalue=draw(st.one_of(st.none(), WIRE_FLOATS)), reason=draw(st.one_of(st.none(), WIRE_TEXT)),
+    )
+
+
+def _encoded(encode, obj):
+    try:
+        return ("ok", encode(obj))
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return ("raised", type(exc), str(exc))
+
+
+class TestEncoderMatchesReference:
+    """One formatter per record type writes the generic emitter's bytes."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(wire_records())
+    def test_same_bytes_or_same_error(self, rec):
+        assert _encoded(encode_record, rec) == _encoded(reference_encode_record, rec)
+
+    def test_unknown_type_refused_alike(self):
+        for obj in (None, {"v": 1}, make_params()):
+            assert _encoded(encode_record, obj) == _encoded(reference_encode_record, obj)
+
+
+class TestLeanKernelsEquivalence:
+    """Aggregation, disclosure, verification and encoding give the same wire
+    lines and per-epoch numbers on the numpy reference kernels."""
+
+    N_EPOCHS = 400
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        sc = default_scenario()
+        return residual_stream(sc, self.N_EPOCHS * sc.epoch_len, seed=23)
+
+    def _lines(self, records, mode, encode):
+        sc = default_scenario()
+        session = UtilitySession(
+            uid="u0", mode=mode, params=reference_params(), d=sc.plant.d, alpha=sc.alpha,
+            rng=np.random.default_rng(derive_seed(23, 0, 1)), epoch_len=sc.epoch_len,
+        )
+        regulator = RegulatorSession(session.handshake())
+        lines = [encode(session.handshake())]
+        for agg in epoch_stream(records, sc):
+            res = session.process_epoch(agg)
+            verdict = regulator.verify(res.tuple_obj)
+            lines.append(encode(res.tuple_obj))
+            lines.append(encode(verdict))
+            lines.append(repr((agg.t_stat, agg.rho, res.alpha_hat, res.threshold,
+                               res.rho_hat_local, verdict.t_res_hat)))
+        return lines
+
+    @pytest.mark.parametrize("mode", ["pv", "cr"])
+    def test_wire_lines_identical(self, records, mode, monkeypatch):
+        lean = self._lines(records, mode, encode_record)
+        for module in (protocol, privacy):
+            monkeypatch.setattr(module, "eig_factorize", reference_eig_factorize)
+            monkeypatch.setattr(module, "whiten", reference_whiten)
+        reference = self._lines(records, mode, reference_encode_record)
+        assert len(lean) == 1 + 3 * self.N_EPOCHS
+        assert lean == reference
 
 
 class TestItpMatchesBisection:

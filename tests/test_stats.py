@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from dpalarm.stats import (
+    CovFactorization,
     central_chi2_quantile,
     chi2_test,
     eig_factorize,
@@ -11,7 +14,7 @@ from dpalarm.stats import (
     noncentral_chi2_quantile,
     whiten,
 )
-from conftest import random_psd
+from conftest import random_psd, reference_eig_factorize, reference_whiten
 
 
 class TestEigFactorize:
@@ -95,6 +98,132 @@ class TestWhiten:
         # squared-norm mean at the dof with the binomial-free CLT band
         norms = (taus**2).sum(axis=1)
         assert abs(norms.mean() - 4.0) < 3 * np.sqrt(2 * 4 / len(norms))
+
+
+ANY_FLOAT = st.floats(width=64)  # NaN, infinities, -0.0 and subnormals included
+MATRIX_KINDS = (
+    "psd", "singular", "near_symmetric", "asymmetric", "negative", "nan",
+    "signed_zero", "huge", "raw_symmetric", "raw",
+)
+
+
+@st.composite
+def factorize_inputs(draw):
+    """(matrix, count) over d in 1..4, from clean PSD to arbitrary floats."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(MATRIX_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "raw":
+        s = np.array(draw(st.lists(ANY_FLOAT, min_size=d * d, max_size=d * d))).reshape(d, d)
+    elif kind == "raw_symmetric":
+        s = np.zeros((d, d))
+        s[np.triu_indices(d)] = draw(st.lists(ANY_FLOAT, min_size=d * (d + 1) // 2, max_size=d * (d + 1) // 2))
+        s = np.triu(s) + np.triu(s, 1).T
+    else:
+        s = random_psd(rng, d, (0.0, 10.0) if kind == "singular" else (0.1, 10.0))
+        s = 0.5 * (s + s.T)
+        i, j = (int(k) for k in rng.integers(0, d, size=2))
+        if kind == "singular":
+            s = s - np.diag(rng.uniform(0.0, 1e-7, size=d))  # eigenvalues about 0, either sign
+        elif kind == "near_symmetric":
+            s[i, j] += 1e-13 * rng.normal()
+        elif kind == "asymmetric":
+            s[i, j] += rng.normal()
+        elif kind == "negative":
+            s = -s
+        elif kind == "nan":
+            s[i, j] = np.nan
+            if draw(st.booleans()):
+                s[j, i] = np.nan
+        elif kind == "signed_zero":  # LAPACK's bits can follow the sign of a zero
+            j = (i + 1) % d
+            s[i, j] = 0.0
+            s[j, i] = -0.0 if draw(st.booleans()) else 0.0
+            s[i, i] = -0.0 if draw(st.booleans()) else s[i, i]
+        elif kind == "huge":
+            with np.errstate(over="ignore"):
+                s = s * draw(st.sampled_from([2.0**1020, 2.0**1022, 1e307]))
+    if draw(st.booleans()):
+        s = np.asfortranarray(s)
+    return s, draw(st.one_of(st.none(), st.integers(0, d + 1)))
+
+
+def _outcome(fn, *args):
+    """What a kernel returned, bit for bit, or the error it raised."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return ("raised", type(exc), str(exc))
+    if isinstance(out, CovFactorization):
+        arrays = (out.vectors, out.lambdas)
+        return ("ok", out.p) + tuple((a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for a in arrays)
+    return ("ok", out.dtype, out.shape, out.tobytes())
+
+
+class TestLeanKernelsMatchReference:
+    """eig_factorize and whiten on floats reproduce the numpy references.
+
+    Outputs must be bit-identical (layout included) and errors must have the
+    same type and message, for every input.
+    """
+
+    @settings(max_examples=1500, deadline=None)
+    @given(factorize_inputs())
+    def test_eig_factorize(self, case):
+        s, count = case
+        with np.errstate(all="ignore"):
+            assert _outcome(eig_factorize, s, count) == _outcome(reference_eig_factorize, s, count)
+
+    def test_eig_factorize_edge_inputs(self):
+        cases = [
+            np.zeros((0, 0)), np.zeros(3), np.zeros((2, 3)), [[1.0, 2.0], [2.0, 5.0]],
+            np.array([[4.0, np.inf], [np.inf, 1.0]]), np.diag([np.inf, 1.0]),
+            np.array([[1.0, -0.0], [0.0, 1.0]]), np.diag([2.0**1023, 1.0]),
+            # equal by value, not bitwise: eigh of this one differs in low bits
+            # from eigh of its symmetrised copy, where the -0.0 becomes 0.0
+            np.array([[0.512, 0.0, 0.296], [-0.0, 3.607, -0.04], [0.296, -0.04, 4.65]]),
+            np.full((3, 3), np.nan), np.eye(3)[:, ::-1], np.eye(4)[::2, ::2],
+        ]
+        for s in cases:
+            for count in (None, 1, 5):
+                with np.errstate(all="ignore"):
+                    assert _outcome(eig_factorize, s, count) == _outcome(reference_eig_factorize, s, count)
+
+    def test_sign_rule_on_columns_lapack_may_return(self, monkeypatch):
+        # np.argmax takes a column's first NaN, so a NaN after a negative
+        # largest component keeps the column's sign; so do ties and zeros
+        vec = np.array([[-0.9, 0.5, -0.0], [np.nan, -0.5, 0.0], [0.1, 0.2, -1.0]])
+        monkeypatch.setattr(np.linalg, "eigh", lambda s: (np.array([0.5, 1.0, 2.0]), vec.copy()))
+        assert _outcome(eig_factorize, np.eye(3), None) == _outcome(reference_eig_factorize, np.eye(3), None)
+
+    def test_nan_covariance_passes(self):
+        fac = eig_factorize(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        assert np.isnan(fac.lambdas).any()
+
+    @settings(max_examples=800, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.tuples(
+                st.lists(ANY_FLOAT, min_size=d * d, max_size=d * d),
+                st.lists(ANY_FLOAT, min_size=d, max_size=d),
+                st.integers(1, d),
+                st.lists(ANY_FLOAT, min_size=d - 1, max_size=d + 1),
+            )
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_whiten(self, case, seed):
+        vectors, lambdas, p, r = case
+        d = len(lambdas)
+        rng = np.random.default_rng(seed)
+        # factorizations as eig_factorize makes them, and arbitrary ones
+        facs = [CovFactorization(np.array(vectors).reshape(d, d), np.array(lambdas), p)]
+        s = random_psd(rng, d, (0.0, 5.0))
+        with np.errstate(all="ignore"):
+            facs.append(reference_eig_factorize(0.5 * (s + s.T), count=p))
+            for fac in facs:
+                for vec in (np.array(r), rng.normal(size=d)):
+                    assert _outcome(whiten, vec, fac) == _outcome(reference_whiten, vec, fac)
 
 
 class TestChi2Test:
