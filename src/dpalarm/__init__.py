@@ -66,6 +66,7 @@ from .protocol import (
     decode_record,
     encode_record,
     verify_cr,
+    verify_cr_stack,
     verify_pv,
 )
 from .stats import (
@@ -77,6 +78,7 @@ from .stats import (
     noncentral_chi2_cdf,
     noncentral_chi2_quantile,
     whiten,
+    whitened_energies,
 )
 
 __version__ = "0.1.0"

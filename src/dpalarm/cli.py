@@ -1,18 +1,19 @@
 """Experiment runner and service entry points.
 
 Subcommands: ``simulate``, ``sweep``, ``align``, ``false-alarms``,
-``bounds-report``, ``ingest``, ``serve``, ``client``. All outputs are CSV or
-flat key=value text prefixed with ``# key=value`` header comments carrying
-the master seed, a params hash, and the package version, so identical headers
-imply identical outputs.
+``bounds-report``, ``ingest``, ``serve``, ``client``, ``audit-stats``. All
+output files are CSV or flat key=value text prefixed with ``# key=value``
+header comments carrying the master seed, a params hash, and the package
+version, so identical headers imply identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import statistics
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +34,11 @@ from .config import (
     parse_params_text,
 )
 from .ekf import ResidualRecord, residuals_from_csv, residuals_to_csv
-from .netsvc import RegulatorConfig, run_utility_client, serve_regulator
+from .netsvc import RegulatorConfig, replay_audit, run_utility_client, serve_regulator
 from .pipeline import PipelineEpoch, run_pipeline, simulated_stream
 from .plant import trace_to_csv
 from .privacy import PrivacyParams
+from .protocol import ProtocolError, decode_record
 from .stats import eig_factorize, noncentral_chi2_cdf
 
 __all__ = [
@@ -48,11 +50,14 @@ __all__ = [
     "cmd_false_alarms",
     "cmd_bounds_report",
     "cmd_ingest",
+    "AuditStats",
+    "cmd_audit_stats",
     "main",
 ]
 
 SWEEPABLE = ("eps_cov", "eps_r", "gamma_cov", "gamma_r")
 ATTACK_WINDOW_S = 800.0  # the designated attack window that caps align checkpoints
+_fmt_str = json.encoder.encode_basestring_ascii  # a uid or reason as a JSON string
 
 
 def _header(seed: int, params: PrivacyParams, scenario: ScenarioConfig) -> str:
@@ -396,6 +401,43 @@ def cmd_ingest(csv_path: Path) -> tuple[list[ResidualRecord], int]:
     return ok, rejected
 
 
+@dataclass
+class AuditStats:
+    """One uid's tuples in an audit log and how their verdicts replay."""
+
+    tuples: int = 0
+    exact: int = 0  # replayed verdict equals the logged one byte for byte
+    differing: int = 0
+    mismatched: int = 0  # verified, rho_hat differs from the disclosed rho
+    rejected: dict[str, int] = field(default_factory=dict)  # by reason, up to its first ": "
+
+
+def cmd_audit_stats(audit_path: Path) -> dict[str, AuditStats]:
+    """Per-uid statistics of a regulator audit log, from ``replay_audit``.
+
+    Each tuple is counted under the uid and reason of its replayed verdict,
+    which for an exact replay is the logged verdict.
+
+    Raises:
+        ProtocolError: a malformed audit line, or a tuple before its handshake.
+    """
+    stats: dict[str, AuditStats] = {}
+    for logged, replayed in replay_audit(audit_path):
+        verdict = decode_record(replayed)
+        entry = stats.setdefault(verdict.uid, AuditStats())
+        entry.tuples += 1
+        if logged == replayed:
+            entry.exact += 1
+        else:
+            entry.differing += 1
+        if verdict.reason is not None:
+            kind = verdict.reason.split(": ", 1)[0]
+            entry.rejected[kind] = entry.rejected.get(kind, 0) + 1
+        elif not verdict.matched:
+            entry.mismatched += 1
+    return stats
+
+
 # --- argparse front end ------------------------------------------------------
 
 
@@ -450,6 +492,9 @@ def main(argv: list[str] | None = None) -> int:
     p_srv.add_argument("--listen", type=str, required=True, help="host:port")
     p_srv.add_argument("--audit", type=Path, required=True)
     p_srv.add_argument("--mode-allow", choices=("cr", "pv", "both"), default="both")
+
+    p_aud = sub.add_parser("audit-stats", help="replay a regulator audit log, per-uid counts")
+    p_aud.add_argument("audit", type=Path)
 
     p_cli = sub.add_parser("client", help="run a utility client session")
     p_cli.add_argument("--connect", type=str, required=True, help="host:port")
@@ -525,6 +570,22 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "serve":
         serve_regulator(_addr(args.listen), RegulatorConfig(args.audit, args.mode_allow))
         return 0
+
+    if args.command == "audit-stats":
+        try:
+            stats = cmd_audit_stats(args.audit)
+        except (OSError, ProtocolError) as exc:
+            print(f"audit error: {exc}", file=sys.stderr)
+            return 1
+        for uid, entry in sorted(stats.items()):
+            print(
+                f"uid={_fmt_str(uid)} tuples={entry.tuples} exact={entry.exact} "
+                f"differing={entry.differing} mismatched={entry.mismatched} "
+                f"rejected={sum(entry.rejected.values())}"
+            )
+            for reason, count in entry.rejected.items():
+                print(f"uid={_fmt_str(uid)} reason={_fmt_str(reason)} rejected={count}")
+        return 1 if any(entry.differing for entry in stats.values()) else 0
 
     if args.command == "client":
         csv_source = None

@@ -40,6 +40,7 @@ from .protocol import (
     Verdict,
     decode_record,
     encode_record,
+    verify_cr_stack,
 )
 
 logger = logging.getLogger(__name__)
@@ -72,6 +73,9 @@ _LINGER_S = 2.0
 # bookkeeping). Left to autotune it grows to megabytes of verdicts, verified
 # for a peer that never reads them.
 SEND_BUFFER_BYTES = 64 * 1024
+# Tuples ``replay_audit`` reads before it verifies them: a chunk's CR tuples
+# of one session share one LAPACK call, and the chunk bounds replay memory.
+REPLAY_CHUNK = 1024
 
 
 @dataclass
@@ -132,7 +136,9 @@ class RegulatorServer:
     Sockets are non-blocking. Each complete line is decoded, verified, logged
     and answered before the loop takes the next, and no call waits on a
     single client: a session with unsent verdicts is not read until its peer
-    takes them. The loop is the only writer of the audit log.
+    takes them. A uid has at most one open session: a handshake under a uid
+    in use is refused, so each (uid, w) is verified at most once. The loop is
+    the only writer of the audit log.
     """
 
     def __init__(self, listen_addr: tuple[str, int], config: RegulatorConfig):
@@ -145,6 +151,9 @@ class RegulatorServer:
         self._sel.register(self._wake_r, selectors.EVENT_READ)
         self.audit = _AuditLog(config.audit_path)
         self.active_sessions = 0
+        # uid -> the connection whose open session holds it: a second session
+        # under a live uid would have its (uid, w) pairs verified twice
+        self._uids: dict[str, _Conn] = {}
         self._stopping = False
         self._idle = threading.Event()  # set while no loop runs
         self._idle.set()
@@ -235,12 +244,17 @@ class RegulatorServer:
         conn.slot = True
         self.active_sessions += 1
 
+    def _release_uid(self, conn: _Conn) -> None:
+        if conn.session is not None and self._uids.get(conn.session.handshake.uid) is conn:
+            del self._uids[conn.session.handshake.uid]
+
     def _close(self, conn: _Conn) -> None:
         self._sel.unregister(conn.sock)
         conn.sock.close()
         if conn.slot:
             conn.slot = False
             self.active_sessions -= 1
+        self._release_uid(conn)
         session = conn.session
         if session is not None:
             logger.info(
@@ -296,6 +310,7 @@ class RegulatorServer:
         msg = encode_record(Verdict(uid=uid, w=-1, rho_hat=0, matched=False, reason=reason))
         self.audit.append("TX", msg)
         self._send(conn, msg)
+        self._release_uid(conn)  # the session takes no more tuples
         conn.closing = True
         conn.inbuf = b""
         if conn.outbuf:
@@ -364,12 +379,15 @@ class RegulatorServer:
                     raise ProtocolError("first record must be a handshake")
                 if not self.config.allows(hs.mode):
                     raise ProtocolError(f"mode {hs.mode!r} not allowed by this regulator")
+                if hs.uid in self._uids:
+                    raise ProtocolError(f"uid {hs.uid!r} already has an open session")
             except ProtocolError as exc:
-                logger.warning("malformed handshake from %s: %s", conn.peer, exc)
+                logger.warning("handshake from %s refused: %s", conn.peer, exc)
                 self._reject(conn, "?", str(exc))
                 return
             self.audit.append("RX", encode_record(hs))
             conn.session = RegulatorSession(hs)
+            self._uids[hs.uid] = conn
             logger.info("session %s mode=%s d=%d p=%d", hs.uid, hs.mode, hs.d, hs.p)
             return
         uid = session.handshake.uid
@@ -574,10 +592,18 @@ def replay_audit(audit_path: str | Path) -> list[tuple[str, str]]:
     decodable tuple record; RX tuples and their TX verdicts are logged
     atomically, so pairing is positional. A faithful log replays byte-exactly;
     such a pair holds the one string twice.
+
+    The log is read in chunks of ``REPLAY_CHUNK`` tuples. A CR tuple's
+    numbers do not depend on session state, so each chunk verifies its CR
+    tuples in one ``verify_cr_stack`` call per session; admission and
+    duplicate tracking then run in log order, in ``RegulatorSession.verify``.
     """
     sessions: dict[str, RegulatorSession] = {}
     pairs: list[tuple[str, str]] = []
     pending: str | None = None  # replayed verdict awaiting its logged TX line
+    chunk: list = []  # TX records and [session, tuple, verify_cr verdict] items, in log order
+    stacks: dict[RegulatorSession, list] = {}  # the chunk's items that reach verify_cr
+    n_tuples = 0
     with open(audit_path, "r", encoding="utf-8") as fh:
         for raw in fh:
             raw = raw.rstrip("\n")
@@ -588,11 +614,8 @@ def replay_audit(audit_path: str | Path) -> list[tuple[str, str]]:
             except ValueError as exc:
                 raise ProtocolError(f"malformed audit line: {raw!r}") from exc
             if direction == "TX":
-                if pending is not None:
-                    # a verdict that replays byte-exactly is kept once, not twice
-                    pairs.append((record, record) if pending == record else (record, pending))
-                    pending = None
-                continue  # unpaired TX lines (handshake errors) carry no tuple
+                chunk.append(record)
+                continue
             if direction != "RX":
                 raise ProtocolError(f"unknown audit direction {direction!r}")
             try:
@@ -602,8 +625,34 @@ def replay_audit(audit_path: str | Path) -> list[tuple[str, str]]:
             if isinstance(obj, Handshake):
                 sessions[obj.uid] = RegulatorSession(obj)
             elif isinstance(obj, (CrTuple, PvTuple)):
-                if obj.uid not in sessions:
+                session = sessions.get(obj.uid)
+                if session is None:
                     raise ProtocolError(f"tuple for unknown session {obj.uid!r}")
-                verdict = sessions[obj.uid].verify(obj)
-                pending = encode_record(verdict)
+                item = [session, obj, None]
+                chunk.append(item)
+                if isinstance(obj, CrTuple) and session.mismatch_reason(obj) is None:
+                    stacks.setdefault(session, []).append(item)
+                n_tuples += 1
+                if n_tuples % REPLAY_CHUNK == 0:
+                    pending = _replay_chunk(chunk, stacks, pairs, pending)
+                    chunk, stacks = [], {}
+    _replay_chunk(chunk, stacks, pairs, pending)
     return pairs
+
+
+def _replay_chunk(chunk: list, stacks: dict, pairs: list[tuple[str, str]], pending: str | None) -> str | None:
+    """Replay one chunk in log order; returns the verdict still awaiting its TX line."""
+    for session, items in stacks.items():
+        verdicts = verify_cr_stack([item[1] for item in items], session.handshake.p)
+        for item, verdict in zip(items, verdicts):
+            item[2] = verdict
+    for item in chunk:
+        if type(item) is str:  # a TX line; unpaired ones (handshake errors) carry no tuple
+            if pending is not None:
+                # a verdict that replays byte-exactly is kept once, not twice
+                pairs.append((item, item) if pending == item else (item, pending))
+                pending = None
+        else:
+            session, tup, cr_verdict = item
+            pending = encode_record(session.verify(tup, cr_verdict))
+    return pending

@@ -35,7 +35,14 @@ import numpy as np
 from .bounds import AlphaInversion, BoundInputs, NormTracker, equivalent_alpha
 from .ekf import ResidualRecord
 from .privacy import PrivacyParams, sequential_disclose
-from .stats import chi2_test, eig_factorize, noncentral_chi2_cdf, noncentral_chi2_quantile, whiten
+from .stats import (
+    chi2_test,
+    eig_factorize,
+    noncentral_chi2_cdf,
+    noncentral_chi2_quantile,
+    whiten,
+    whitened_energies,
+)
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -310,29 +317,49 @@ class UtilitySession:
         )
 
 
-def verify_cr(tup: CrTuple, p: int) -> Verdict:
-    """Critical-region verification: refactorize, rewhiten, compare.
+def verify_cr_stack(tuples: Sequence[CrTuple], p: int) -> list[Verdict]:
+    """Critical-region verification of n tuples: refactorize, rewhiten, compare.
 
-    Any malformed disclosure (non-PD covariance, non-finite values) yields a
-    typed rejection verdict rather than an exception.
+    One ``whitened_energies`` call computes every tuple's t_res_hat, so the
+    stack shares one LAPACK call, and each verdict is the one the tuple gets
+    alone. Any malformed disclosure (non-PD covariance, non-finite values)
+    yields a typed rejection verdict rather than an exception; tuples whose
+    arrays do not stack into one array of numbers all get its error.
     """
     try:
-        fac = eig_factorize(tup.s_hat, count=p)
-        tau_res = whiten(tup.tau_rg, fac)
-    except ValueError as exc:
-        return Verdict(
-            uid=tup.uid, w=tup.w, rho_hat=0, matched=False, reason=f"malformed disclosure: {exc}"
-        )
-    t_res_hat = float(tau_res @ tau_res)
-    rho_hat = int(t_res_hat > tup.threshold)
-    return Verdict(
-        uid=tup.uid,
-        w=tup.w,
-        rho_hat=rho_hat,
-        matched=(rho_hat == tup.rho),
-        t_res_hat=t_res_hat,
-        threshold=tup.threshold,
-    )
+        if len(tuples) == 1:  # the live path: a view, not a copy through a list
+            s = np.asarray(tuples[0].s_hat, dtype=float)[None]
+            r = np.asarray(tuples[0].tau_rg, dtype=float)[None]
+        else:
+            s = np.array([tup.s_hat for tup in tuples], dtype=float)
+            r = np.array([tup.tau_rg for tup in tuples], dtype=float)
+        energies = whitened_energies(s, r, p)
+    except ValueError as exc:  # not a stack of numbers
+        energies = [exc] * len(tuples)
+    verdicts = []
+    for tup, t_res_hat in zip(tuples, energies):
+        if isinstance(t_res_hat, ValueError):
+            verdict = Verdict(
+                uid=tup.uid, w=tup.w, rho_hat=0, matched=False,
+                reason=f"malformed disclosure: {t_res_hat}",
+            )
+        else:
+            rho_hat = int(t_res_hat > tup.threshold)
+            verdict = Verdict(
+                uid=tup.uid,
+                w=tup.w,
+                rho_hat=rho_hat,
+                matched=(rho_hat == tup.rho),
+                t_res_hat=t_res_hat,
+                threshold=tup.threshold,
+            )
+        verdicts.append(verdict)
+    return verdicts
+
+
+def verify_cr(tup: CrTuple, p: int) -> Verdict:
+    """Critical-region verification of one tuple: ``verify_cr_stack`` at n = 1."""
+    return verify_cr_stack((tup,), p)[0]
 
 
 def verify_pv(tup: PvTuple, p: int) -> Verdict:
@@ -417,58 +444,46 @@ class RegulatorSession:
         else:
             self._out_of_order.add(w)
 
-    def verify(self, tup: CrTuple | PvTuple) -> Verdict:
+    def mismatch_reason(self, tup: CrTuple | PvTuple) -> str | None:
+        """Why a tuple does not fit the handshake's mode, dimensions or tuple
+        types, or None; unlike the other rejections this one needs no state."""
+        hs = self.handshake
+        if isinstance(tup, CrTuple):
+            d = hs.d
+            if hs.mode != "cr":
+                return "mode mismatch"
+            if np.shape(tup.s_hat) != (d, d) or np.shape(tup.tau_rg) != (d,):
+                return (
+                    f"dimension mismatch: s_hat {np.shape(tup.s_hat)}, "
+                    f"tau_rg {np.shape(tup.tau_rg)}, handshake d={d}"
+                )
+            return None
+        if isinstance(tup, PvTuple):
+            return None if hs.mode == "pv" else "mode mismatch"
+        return "unknown tuple type"
+
+    def verify(self, tup: CrTuple | PvTuple, cr_verdict: Verdict | None = None) -> Verdict:
+        """Admit a tuple and verify it, or reject it.
+
+        ``cr_verdict`` is ``verify_cr(tup, handshake.p)`` when the caller has
+        it already, as a replay that verifies a batch in one stack does; it
+        is used only for a CR tuple that is admitted.
+        """
         self.tuples_received += 1
         if tup.uid != self.handshake.uid:
-            verdict = Verdict(
-                uid=tup.uid, w=tup.w, rho_hat=0, matched=False, reason="uid mismatch"
-            )
+            reason = "uid mismatch"
         elif self._seen(tup.w):
-            verdict = Verdict(
-                uid=tup.uid, w=tup.w, rho_hat=0, matched=False, reason="duplicate epoch index"
-            )
+            reason = "duplicate epoch index"
         elif self._backlog_full(tup.w):
-            verdict = Verdict(
-                uid=tup.uid,
-                w=tup.w,
-                rho_hat=0,
-                matched=False,
-                reason=f"out-of-order backlog full: {MAX_OUT_OF_ORDER} epochs",
-            )
-        elif isinstance(tup, CrTuple):
-            d = self.handshake.d
-            if self.handshake.mode != "cr":
-                verdict = Verdict(
-                    uid=tup.uid, w=tup.w, rho_hat=0, matched=False, reason="mode mismatch"
-                )
-            elif np.shape(tup.s_hat) != (d, d) or np.shape(tup.tau_rg) != (d,):
-                verdict = Verdict(
-                    uid=tup.uid,
-                    w=tup.w,
-                    rho_hat=0,
-                    matched=False,
-                    reason=(
-                        f"dimension mismatch: s_hat {np.shape(tup.s_hat)}, "
-                        f"tau_rg {np.shape(tup.tau_rg)}, handshake d={d}"
-                    ),
-                )
-            else:
-                verdict = verify_cr(tup, self.handshake.p)
-        elif isinstance(tup, PvTuple):
-            if self.handshake.mode != "pv":
-                verdict = Verdict(
-                    uid=tup.uid, w=tup.w, rho_hat=0, matched=False, reason="mode mismatch"
-                )
-            else:
-                verdict = verify_pv(tup, self.handshake.p)
+            reason = f"out-of-order backlog full: {MAX_OUT_OF_ORDER} epochs"
         else:
-            verdict = Verdict(
-                uid=getattr(tup, "uid", "?"),
-                w=getattr(tup, "w", -1),
-                rho_hat=0,
-                matched=False,
-                reason="unknown tuple type",
-            )
+            reason = self.mismatch_reason(tup)
+        if reason is not None:
+            verdict = Verdict(uid=tup.uid, w=tup.w, rho_hat=0, matched=False, reason=reason)
+        elif isinstance(tup, CrTuple):
+            verdict = verify_cr(tup, self.handshake.p) if cr_verdict is None else cr_verdict
+        else:
+            verdict = verify_pv(tup, self.handshake.p)
         if verdict.reason is None:
             self._mark_seen(tup.w)
         self.verdicts_sent += 1

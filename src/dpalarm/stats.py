@@ -1,6 +1,7 @@
 """Statistical kernels for residual-based alarm testing.
 
-Covariance eigenfactorization and whitening, the chi-square alarm test, the
+Covariance eigenfactorization and whitening (of one matrix, or as the squared
+whitened norms of a stack of matrices in one LAPACK call), the chi-square alarm test, the
 noncentral chi-square CDF and upper quantile (thin checked wrappers over the
 ``scipy.special`` ufuncs ``chndtr`` / ``chndtrix``), plus the Laplace sampler
 of the covariance phase.
@@ -21,6 +22,7 @@ __all__ = [
     "TestOutcome",
     "eig_factorize",
     "whiten",
+    "whitened_energies",
     "chi2_test",
     "central_chi2_quantile",
     "noncentral_chi2_cdf",
@@ -160,6 +162,96 @@ def whiten(r: np.ndarray, fac: CovFactorization) -> np.ndarray:
             "retained eigenvalue <= 0; clamp eigenvalues upstream before whitening"
         )
     return (fac.vectors[:, : fac.p].T @ r) / np.sqrt(lam)
+
+
+def whitened_energies(s: np.ndarray, r: np.ndarray, count: int) -> list[float | ValueError]:
+    """||whiten(r_i, eig_factorize(s_i, count))||^2 for each row of a stack.
+
+    ``s`` is an (n, d, d) stack of matrices and ``r`` an (n, d) stack of
+    residuals. The finite symmetrised matrices go to LAPACK in one
+    ``np.linalg.eigh`` call, and the checks of ``eig_factorize`` and
+    ``whiten`` run per row, in their order, on floats. The sign convention is
+    skipped, as squaring cancels it; the projection and the sum of squares
+    run on the memory layouts of the two-call path, so they take the same
+    BLAS paths and each row gets its bits.
+
+    Returns, per row, the float or the ValueError the two calls would raise.
+    A symmetrised matrix with a non-finite entry is factorized alone, since
+    one such matrix can make a stacked call raise ``LinAlgError`` for all.
+    """
+    s = np.asarray(s, dtype=float)
+    r = np.asarray(r, dtype=float)
+    n = len(s)
+    if s.ndim != 3 or s.shape[1] != s.shape[2] or not s.shape[1]:
+        return [ValueError(f"expected a square matrix, got shape {s.shape[1:]}")] * n
+    d, p = s.shape[1], int(count)
+    out: list = [None] * n
+    st = s.transpose(0, 2, 1)
+    alone: list[int] | range = []
+    # eig_factorize hands LAPACK 0.5 * (s + s^T): s itself when every matrix
+    # is bitwise symmetric with finite entries below 2**1023
+    if s.tobytes() == st.tobytes() and math.hypot(*s.ravel().tolist()) < _EXACT_HALF_SUM_MAX:
+        stack = sym = s
+    else:
+        sym = 0.5 * (s + st)
+        # only a matrix with a pair unequal by value can fail the check
+        for i in np.flatnonzero((s != st).any(axis=(1, 2))).tolist():
+            try:
+                _check_symmetric(s[i])
+            except ValueError as exc:
+                out[i] = exc
+        finite = np.isfinite(sym).all(axis=(1, 2))
+        alone = np.flatnonzero(~finite).tolist()
+        stack = np.where(finite[:, None, None], sym, 0.0) if alone else sym
+    try:
+        lam, vec = np.linalg.eigh(stack)  # ascending
+    except np.linalg.LinAlgError:  # a finite matrix did not converge
+        lam, vec, alone = np.zeros((n, d)), np.zeros((n, d, d)), range(n)
+    for i in alone:
+        try:
+            lam[i], vec[i] = np.linalg.eigh(sym[i])
+        except np.linalg.LinAlgError as exc:
+            out[i] = out[i] or exc
+
+    good = []
+    lam_rows = lam.tolist()
+    for i, ascending in enumerate(lam_rows):
+        if out[i] is not None:
+            continue
+        lam_min = ascending[0]
+        # max(trace, 1) >= 1 (or NaN), so only an eigenvalue below -1e-8 can fail
+        if lam_min < -1e-8:
+            trace = float(sym[i].trace())
+            if lam_min < -1e-8 * max(trace, 1.0):
+                out[i] = ValueError(
+                    f"matrix not PSD: smallest eigenvalue {lam_min:.3e} "
+                    f"below tolerance for trace {trace:.3e}"
+                )
+                continue
+        if not 1 <= p <= d:
+            out[i] = ValueError(f"count must be in [1, {d}], got {count}")
+        elif r.shape[1:] != (d,):
+            out[i] = ValueError(f"residual length {r.shape[1:]} does not match d={d}")
+        # the clamp at 0 leaves the test as is: x <= 0 exactly when max(x, 0) <= 0
+        elif any(x <= 0.0 for x in ascending[d - p :]):
+            out[i] = ValueError(
+                "retained eigenvalue <= 0; clamp eigenvalues upstream before whitening"
+            )
+        else:
+            good.append(i)
+    if good:
+        if len(good) < n:
+            vec, r = vec[good], r[good]
+        proj = (vec[:, :, d - p :].transpose(0, 2, 1) @ r[:, :, None]).reshape(len(good), p)
+        # descending, as whiten returns it; IEEE division and square root are
+        # correctly rounded, so floats give numpy's bits
+        tau = np.array([
+            [x / math.sqrt(lam) for x, lam in zip(reversed(row), reversed(lam_rows[i][d - p :]))]
+            for i, row in zip(good, proj.tolist())
+        ])
+        for i, energy in zip(good, (tau[:, None, :] @ tau[:, :, None]).ravel().tolist()):
+            out[i] = energy
+    return out
 
 
 def central_chi2_quantile(alpha_upper: float, k: float) -> float:

@@ -144,6 +144,31 @@ def reference_whiten(r, fac):
     return (vec.T @ r) / np.sqrt(lam)
 
 
+def reference_verify_cr(tup, p):
+    """Reference ``protocol.verify_cr``: one tuple through the reference kernels.
+
+    ``reference_eig_factorize`` then ``reference_whiten``, each ValueError a
+    rejection verdict, as verification ran before tuples were stacked.
+    """
+    try:
+        fac = reference_eig_factorize(tup.s_hat, count=p)
+        tau_res = reference_whiten(tup.tau_rg, fac)
+    except ValueError as exc:
+        return Verdict(
+            uid=tup.uid, w=tup.w, rho_hat=0, matched=False, reason=f"malformed disclosure: {exc}"
+        )
+    t_res_hat = float(tau_res @ tau_res)
+    rho_hat = int(t_res_hat > tup.threshold)
+    return Verdict(
+        uid=tup.uid,
+        w=tup.w,
+        rho_hat=rho_hat,
+        matched=(rho_hat == tup.rho),
+        t_res_hat=t_res_hat,
+        threshold=tup.threshold,
+    )
+
+
 def _emit(v):
     if isinstance(v, bool):
         return "1" if v else "0"

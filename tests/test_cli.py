@@ -425,3 +425,58 @@ class TestMainEntry:
         finally:
             srv.terminate()
             srv.wait(timeout=10)
+
+
+class TestAuditStats:
+    """``audit-stats`` replays an audit log and counts per uid."""
+
+    @pytest.fixture
+    def audit(self, tmp_path):
+        from dpalarm.netsvc import HarnessConfig, run_harness
+
+        sc = default_scenario()
+        config = HarnessConfig(
+            n_utilities=2, n_epochs=6, params=reference_params(), scenario=sc, master_seed=2
+        )
+        path = tmp_path / "audit.log"
+        assert not run_harness(config, path).partial
+        # u1 resends an epoch index: a logged rejection that replays exactly
+        lines = path.read_text().splitlines(keepends=True)
+        i = max(k for k, ln in enumerate(lines) if '"uid":"u1"' in ln and " RX " in ln)
+        rejection = '{"v":1,"uid":"u1","w":5,"rho_hat":0,"matched":0,"reason":"duplicate epoch index"}'
+        stamp = lines[i].split(" ", 1)[0]
+        path.write_text("".join(lines + [lines[i], f"{stamp} TX {rejection}\n"]))
+        return path
+
+    def test_counts_per_uid(self, audit, capsys):
+        assert cli.main(["audit-stats", str(audit)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        stats = cli.cmd_audit_stats(audit)
+        assert sorted(stats) == ["u0", "u1"]
+        assert (stats["u0"].tuples, stats["u0"].exact, stats["u0"].differing) == (6, 6, 0)
+        assert (stats["u1"].tuples, stats["u1"].exact, stats["u1"].differing) == (7, 7, 0)
+        assert stats["u1"].rejected == {"duplicate epoch index": 1} and stats["u0"].rejected == {}
+        u1 = stats["u1"]
+        assert out == [
+            f'uid="u0" tuples=6 exact=6 differing=0 mismatched={stats["u0"].mismatched} rejected=0',
+            f'uid="u1" tuples=7 exact=7 differing=0 mismatched={u1.mismatched} rejected=1',
+            'uid="u1" reason="duplicate epoch index" rejected=1',
+        ]
+
+    def test_differing_replay_exits_1(self, audit, capsys):
+        lines = audit.read_text().splitlines(keepends=True)
+        i = next(k for k, ln in enumerate(lines) if '"uid":"u0"' in ln and " TX " in ln)
+        flipped = lines[i].replace('"rho_hat":0', '"rho_hat":1') if '"rho_hat":0' in lines[i] \
+            else lines[i].replace('"rho_hat":1', '"rho_hat":0')
+        lines[i] = flipped
+        audit.write_text("".join(lines))
+        assert cli.main(["audit-stats", str(audit)]) == 1
+        out = capsys.readouterr().out
+        assert 'uid="u0" tuples=6 exact=5 differing=1' in out
+        assert 'uid="u1" tuples=7 exact=7 differing=0' in out
+
+    def test_malformed_audit_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.log"
+        bad.write_text("no-direction\n")
+        assert cli.main(["audit-stats", str(bad)]) == 1
+        assert "audit error: malformed audit line" in capsys.readouterr().err

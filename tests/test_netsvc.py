@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import socket
 import subprocess
@@ -27,6 +28,7 @@ from dpalarm.protocol import (
     CrTuple,
     Handshake,
     ProtocolError,
+    PvTuple,
     Verdict,
     decode_record,
     encode_record,
@@ -550,3 +552,142 @@ class TestEventLoop:
         finally:
             slow.close()
         TestSessionLimit._wait_for(lambda: server.active_sessions == 0)
+
+
+class _Client:
+    """A raw regulator session: one handshake, then lines answered in order."""
+
+    def __init__(self, server, uid, mode="cr", d=3, p=3):
+        self.sock = socket.create_connection(server.address, timeout=30)
+        self.fh = self.sock.makefile("rwb")
+        hs = Handshake(uid=uid, mode=mode, d=d, p=p, epoch_len=10, params=quiet_params(p=p))
+        self.fh.write(encode_record(hs).encode() + b"\n")
+        self.fh.flush()
+
+    def send(self, line) -> Verdict:
+        self.fh.write((line if isinstance(line, bytes) else line.encode()) + b"\n")
+        self.fh.flush()
+        return decode_record(self.fh.readline().rstrip(b"\n"))
+
+    def close(self):
+        self.fh.close()
+        self.sock.close()
+
+
+def _cr(uid, w, rng, d=3, s_hat=None):
+    """A CR tuple line with a bitwise-symmetric random PSD covariance."""
+    if s_hat is None:
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        s_hat = (q * rng.uniform(0.01, 10.0, size=d)) @ q.T
+        s_hat = 0.5 * (s_hat + s_hat.T)
+    tup = CrTuple(uid=uid, w=w, s_hat=s_hat, tau_rg=rng.normal(size=d) * 2.0,
+                  threshold=float(d), rho=int(rng.integers(0, 2)))
+    return encode_record(tup)
+
+
+def _replays_exactly(audit, n_tuples):
+    pairs = replay_audit(audit)
+    assert len(pairs) == n_tuples
+    assert all(logged is replayed for logged, replayed in pairs)
+    return pairs
+
+
+class TestOneSessionPerUid:
+    """A handshake under a uid with an open session is refused and not logged."""
+
+    def test_second_session_refused_first_keeps_going(self, server):
+        rng = np.random.default_rng(1)
+        first = _Client(server, "dup")
+        try:
+            assert not first.send(_cr("dup", 0, rng)).rejected
+            with socket.create_connection(server.address, timeout=30) as sock:
+                fh = sock.makefile("rwb")
+                hs = Handshake(uid="dup", mode="cr", d=3, p=3, epoch_len=10, params=quiet_params())
+                fh.write(encode_record(hs).encode() + b"\n" + _cr("dup", 0, rng).encode() + b"\n")
+                fh.flush()
+                refused = decode_record(fh.readline().rstrip(b"\n"))
+                assert fh.readline() == b""  # closed by the regulator
+            assert refused.rejected and refused.w == -1
+            assert refused.reason == "uid 'dup' already has an open session"
+            assert not first.send(_cr("dup", 1, rng)).rejected
+        finally:
+            first.close()
+        TestSessionLimit._wait_for(lambda: server.active_sessions == 0)
+        audit = Path(server.config.audit_path).read_text().splitlines()
+        assert sum('"params":' in line for line in audit) == 1  # the refused handshake is not logged
+        assert sum("already has an open session" in line for line in audit) == 1
+        _replays_exactly(server.config.audit_path, 2)
+
+    def test_reconnect_after_close_accepted(self, server):
+        rng = np.random.default_rng(2)
+        for _ in range(2):
+            client = _Client(server, "back")
+            try:
+                # a new session starts a new index run: w=0 again is accepted
+                assert not client.send(_cr("back", 0, rng)).rejected
+                assert client.send(_cr("back", 0, rng)).reason == "duplicate epoch index"
+            finally:
+                client.close()
+            TestSessionLimit._wait_for(lambda: server.active_sessions == 0)
+        _replays_exactly(server.config.audit_path, 4)
+
+
+class TestReplayChunks:
+    """Replay verifies a chunk's CR tuples in one stack per session and still
+    gives the live verdicts byte for byte, wherever the chunk boundaries fall."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 1024])
+    def test_mixed_log_replays_exactly(self, server, monkeypatch, chunk):
+        rng = np.random.default_rng(3)
+        big = 1.7e308  # symmetrised, LAPACK fails to converge on it, alone or stacked
+        failing = np.array([[1.0, 2.0, big], [2.0, 1.0, 3.0], [big, 3.0, 1.0]])
+        a, b = _Client(server, "a"), _Client(server, "b", mode="pv")
+        live = []
+        try:
+            # indices duplicated and out of order across every chunk boundary
+            for w in (0, 1, 2, 5, 4, 3, 3, 1, 6, 5, 7):
+                live.append(a.send(_cr("a", w, rng)))
+            live.append(a.send(_cr("a", 8, rng, s_hat=failing)))
+            live.append(a.send(_cr("a", 9, rng)))
+            live.append(a.send(b"not json"))  # undecodable: no pair
+            live.append(a.send(_cr("a", 10, rng, d=2)))  # dimension mismatch
+            pv = PvTuple(uid="b", w=0, t_res=4.0, t_cov=1.0, alpha_hat=0.05, rho=1)
+            live.append(b.send(encode_record(pv)))
+            live.append(b.send(encode_record(dataclasses.replace(pv, w=0))))
+            live.append(a.send(_cr("a", 11, rng)))
+        finally:
+            a.close()
+        TestSessionLimit._wait_for(lambda: server.active_sessions == 1)
+        # the same uid again, now retaining two components, between a's tuples
+        # and b's: its tuples stack under the new handshake's p
+        again = _Client(server, "a", p=2)
+        try:
+            for w in (0, 0, 1):
+                live.append(again.send(_cr("a", w, rng)))
+            live.append(b.send(encode_record(dataclasses.replace(pv, w=1, t_res=40.0))))
+            # a refused handshake leaves an unpaired TX line in the log
+            with socket.create_connection(server.address, timeout=30) as sock:
+                sock.sendall(b"garbage handshake\n")
+                assert sock.makefile("rb").readline()
+        finally:
+            again.close()
+            b.close()
+        TestSessionLimit._wait_for(lambda: server.active_sessions == 0)
+        reasons = [v.reason for v in live]
+        assert reasons.count("duplicate epoch index") == 5
+        assert "malformed disclosure: Eigenvalues did not converge" in reasons
+        assert sum(r is None for r in reasons) == 14
+
+        monkeypatch.setattr(netsvc, "REPLAY_CHUNK", chunk)
+        pairs = _replays_exactly(server.config.audit_path, len(live) - 1)
+        assert [decode_record(logged) for logged, _ in pairs] == [v for v in live if v.w != -1]
+
+    def test_chunked_replay_of_harness_audits(self, tmp_path, monkeypatch):
+        for mode in ("cr", "pv"):
+            audit = tmp_path / f"{mode}.log"
+            config = TestHarness()._config(n=2, epochs=12, mode=mode)
+            assert not run_harness(config, audit).partial
+            whole = _replays_exactly(audit, 24)
+            monkeypatch.setattr(netsvc, "REPLAY_CHUNK", 5)
+            assert _replays_exactly(audit, 24) == whole
+            monkeypatch.undo()

@@ -22,6 +22,7 @@ from dpalarm.protocol import (
     decode_record,
     encode_record,
     verify_cr,
+    verify_cr_stack,
     verify_pv,
 )
 from dpalarm.stats import central_chi2_quantile, noncentral_chi2_quantile
@@ -31,6 +32,7 @@ from conftest import (
     random_psd,
     reference_eig_factorize,
     reference_encode_record,
+    reference_verify_cr,
     reference_whiten,
 )
 
@@ -178,6 +180,132 @@ class TestRegulatorCr:
         v = verify_cr(tup, p=3)
         assert v.rejected
         assert "malformed" in v.reason
+
+
+CR_ROW_KINDS = (
+    "psd", "near_singular", "singular", "near_symmetric", "asymmetric", "negative",
+    "signed_zero", "huge", "nan", "inf",
+)
+
+
+@st.composite
+def cr_stacks(draw):
+    """(tuples, p): 1-8 CR tuples of one d in 1..4, each row of its own kind."""
+    d = draw(st.integers(1, 4))
+    p = draw(st.integers(1, d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tuples = []
+    for w in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(CR_ROW_KINDS))
+        s = random_psd(rng, d, (1e-12, 10.0) if kind == "near_singular" else (0.1, 10.0))
+        s = 0.5 * (s + s.T)
+        i, j = (int(k) for k in rng.integers(0, d, size=2))
+        if kind == "singular":  # the smallest eigenvalue shifted to about 0, mostly below
+            s = s - np.linalg.eigvalsh(s)[0] * np.eye(d) - np.diag(rng.uniform(0.0, 1e-7, size=d))
+        elif kind == "near_symmetric":  # within the 1e-8 tolerance
+            s[i, j] += 1e-13 * rng.normal()
+        elif kind == "asymmetric":  # beyond it, unless on the diagonal
+            s[i, j] += rng.normal()
+        elif kind == "negative":
+            s = -s
+        elif kind == "signed_zero":
+            j = (i + 1) % d
+            s[i, j] = 0.0
+            s[j, i] = -0.0 if draw(st.booleans()) else 0.0
+            s[i, i] = -0.0 if draw(st.booleans()) else s[i, i]
+        elif kind == "huge":  # 2**1023 and up overflow once symmetrised
+            with np.errstate(over="ignore"):
+                s = s * draw(st.sampled_from([2.0**1022, 2.0**1023, 1e307]))
+        elif kind in ("nan", "inf"):
+            s[i, j] = np.nan if kind == "nan" else np.inf
+            if draw(st.booleans()):
+                s[j, i] = s[i, j]
+        tau_rg = rng.normal(size=d) * draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+        with np.errstate(all="ignore"):
+            ref = reference_verify_cr(CrTuple("u", w, s, tau_rg, 1.0, 0), p).t_res_hat
+        # thresholds at and about the reference statistic, and far from it
+        thr = draw(st.sampled_from([0.0, 1.0, 10.0 * d, "at", "above", "below"]))
+        if isinstance(thr, str):
+            thr = 1.0 if ref is None or not np.isfinite(ref) else ref * {"at": 1.0, "above": 1 + 1e-9, "below": 1 - 1e-9}[thr]
+        tuples.append(CrTuple("u", w, s, tau_rg, float(thr), draw(st.integers(0, 1))))
+    return tuples, p
+
+
+def _same_statistic(got, ref, rtol):
+    if got is None or ref is None:
+        return got is ref
+    if np.isnan(ref) or np.isinf(ref):
+        return repr(got) == repr(ref)
+    return abs(got - ref) <= rtol * abs(ref)
+
+
+class TestVerifyCrStackMatchesReference:
+    """One stacked kernel call verifies as the two-call reference did, row by row."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(cr_stacks())
+    def test_rows_match_reference_and_alone(self, case):
+        tuples, p = case
+        with np.errstate(all="ignore"):
+            refs = [reference_verify_cr(tup, p) for tup in tuples]
+            stacked = verify_cr_stack(tuples, p)
+            alone = [verify_cr(tup, p) for tup in tuples]
+        assert len(stacked) == len(tuples)
+        for ref, got, one in zip(refs, stacked, alone):
+            assert (encode_record(got), repr(got.t_res_hat)) == (encode_record(one), repr(one.t_res_hat))
+            assert got.reason == ref.reason
+            assert _same_statistic(got.t_res_hat, ref.t_res_hat, 1e-15)
+            assert got.threshold == ref.threshold
+            tie = ref.reason is None and abs(ref.t_res_hat - ref.threshold) <= 1e-12 * abs(ref.threshold)
+            if not tie:
+                assert (got.rho_hat, got.matched) == (ref.rho_hat, ref.matched)
+
+    @pytest.mark.parametrize("s_hat, tau_rg, p", [
+        (np.zeros(3), np.zeros(3), 1),  # not a matrix
+        (np.zeros((2, 3)), np.zeros(3), 1),  # not square
+        (np.eye(3), np.zeros(3), 0),  # count below 1
+        (np.eye(3), np.zeros(3), 4),  # count above d
+        (np.diag([1.0, -1.0, 1.0]), np.zeros(3), 4),  # the PSD check comes first
+        (np.eye(3), np.zeros(2), 3),  # residual too short
+        (np.eye(3), np.zeros((3, 1)), 3),  # residual not a vector
+        (np.diag([1.0, 0.0, 1.0]), np.ones(3), 3),  # zero eigenvalue retained
+        (np.diag([1.0, 0.0, 1.0]), np.ones(3), 2),  # and left out
+        ([[1.0, 0.5], [0.5, 2.0]], [1.0, -1.0], 2),  # lists
+    ])
+    def test_edge_inputs_match_reference(self, s_hat, tau_rg, p):
+        tup = CrTuple("u", 0, s_hat, tau_rg, 1.0, 0)
+        got, ref = verify_cr(tup, p), reference_verify_cr(tup, p)
+        assert (got, repr(got.t_res_hat)) == (ref, repr(ref.t_res_hat))
+
+    def test_unconverged_stack_verifies_row_by_row(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        tuples = [CrTuple("u", w, random_psd(rng, 3), rng.normal(size=3), 3.0, 0) for w in range(5)]
+        tuples = [CrTuple("u", t.w, 0.5 * (t.s_hat + t.s_hat.T), t.tau_rg, 3.0, 0) for t in tuples]
+        eigh = np.linalg.eigh
+
+        def no_stacks(a):
+            if np.ndim(a) > 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", no_stacks)
+        assert verify_cr_stack(tuples, 2) == [reference_verify_cr(t, 2) for t in tuples]
+
+    def test_one_failing_row_keeps_the_others(self, monkeypatch):
+        # LAPACK refuses this one alone as well: stacked with it, every row failed
+        bad = np.array([[1.0, 2.0, np.nan], [2.0, 1.0, 3.0], [np.nan, 3.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigh(bad)
+        good = CrTuple("u", 0, np.diag([3.0, 2.0, 1.0]), np.ones(3), 1.0, 1)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(np.shape(a)) or eigh(a))
+        verdicts = verify_cr_stack([good, CrTuple("u", 1, bad, np.ones(3), 1.0, 1), good], 3)
+        assert calls == [(3, 3, 3), (3, 3)]  # the stack, bad row zeroed, then that row alone
+        monkeypatch.undo()
+        assert verdicts[0] == verdicts[2] == verify_cr(good, 3)
+        assert verdicts[1].reason == "malformed disclosure: Eigenvalues did not converge"
+        assert verdicts[1] == reference_verify_cr(CrTuple("u", 1, bad, np.ones(3), 1.0, 1), 3)
 
 
 class TestPv:
