@@ -17,21 +17,19 @@ from dpalarm import (
     default_spec,
     eig_factorize,
     generate_trace,
-    plant_model,
     run_filter,
     whiten,
 )
 from dpalarm.protocol import aggregate_epoch
 
 spec = default_spec()
-model = plant_model(spec)
 attack = AttackSpec(kind="bias", targets=frozenset({0}), magnitude=0.5, t_start=600, t_end=10**9)
 
 
 def whitened_stats(attacked):
     trace = generate_trace(spec, attack if attacked else None, 1000, seed=42)
     init = EkfBelief(x_hat=np.zeros(2), cov=1e-3 * np.eye(2))
-    records = run_filter(trace, model, spec.process_cov, spec.measurement_cov, init)
+    records = run_filter(trace, spec, init)
     stats = []
     for rec in records[100:]:  # discard the transient
         tau = whiten(rec.r, eig_factorize(rec.s))

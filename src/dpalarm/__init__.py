@@ -25,9 +25,7 @@ from .ekf import (
     EkfBelief,
     FilterError,
     ResidualRecord,
-    StateSpaceModel,
     jacobian,
-    plant_model,
     predict,
     run_filter,
     update,

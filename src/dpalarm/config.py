@@ -38,10 +38,6 @@ class ScenarioConfig:
     warmup_steps: int = 100
 
     @property
-    def dt(self) -> float:
-        return self.plant.dt
-
-    @property
     def epoch_seconds(self) -> float:
         return self.epoch_len * self.plant.dt
 
@@ -128,6 +124,12 @@ def parse_params_text(text: str) -> tuple[PrivacyParams, ScenarioConfig]:
             return default
         return float(kv[key])
 
+    def iget(key: str, default: int | None = None) -> int:
+        value = fget(key, default)
+        if not float(value).is_integer():
+            raise ValueError(f"params key {key!r} must be a whole number, got {kv[key]!r}")
+        return int(value)
+
     params = PrivacyParams(
         eps_cov=fget("eps_cov"),
         eps_r=fget("eps_r"),
@@ -135,9 +137,9 @@ def parse_params_text(text: str) -> tuple[PrivacyParams, ScenarioConfig]:
         gamma_r=fget("gamma_r"),
         delta_l=fget("delta_l"),
         delta_r=fget("delta_r"),
-        p=int(fget("p")),
+        p=iget("p"),
         sigma=fget("sigma", 0.0),
-        eps_r_waiver=bool(int(fget("eps_r_waiver", 0))),
+        eps_r_waiver=bool(iget("eps_r_waiver", 0)),
     )
     plant = default_spec(
         dt=fget("dt", 0.1),
@@ -152,16 +154,16 @@ def parse_params_text(text: str) -> tuple[PrivacyParams, ScenarioConfig]:
             kind=kv["attack_kind"],
             targets=frozenset(int(i) for i in kv["attack_targets"].split(",")),
             magnitude=fget("attack_magnitude"),
-            t_start=int(fget("attack_t_start")),
-            t_end=int(fget("attack_t_end")),
+            t_start=iget("attack_t_start"),
+            t_end=iget("attack_t_end"),
         )
     scenario = ScenarioConfig(
         plant=plant,
         attack=attack,
-        epoch_len=int(fget("epoch_len", 10)),
+        epoch_len=iget("epoch_len", 10),
         alpha=fget("alpha", 0.05),
         p=params.p,
-        warmup_steps=int(fget("warmup_steps", 100)),
+        warmup_steps=iget("warmup_steps", 100),
     )
     return params, scenario
 

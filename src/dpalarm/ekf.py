@@ -1,8 +1,9 @@
 """Extended Kalman filter emitting per-step residuals and residual covariances.
 
-The filter runs against an explicit state-space model (transition g, observation
-h) with Jacobians taken by central finite differences. Each update step yields a
-ResidualRecord carrying the innovation r_t = y_t - h(x_pred) and its covariance
+The filter runs the fixed plant of :mod:`dpalarm.plant`: its transition g and
+observation h, linearized by central finite differences, with Q and R_meas
+read from the ``PlantSpec``. Each update step yields a ResidualRecord carrying
+the innovation r_t = y_t - h(x_pred) and its covariance
 S_t = H P_pred H^T + R_meas; the whitened norm of r_t is the alarm statistic
 downstream.
 
@@ -21,11 +22,9 @@ import numpy as np
 from .plant import PlantSpec, TraceStep, observation, transition
 
 __all__ = [
-    "StateSpaceModel",
     "EkfBelief",
     "ResidualRecord",
     "FilterError",
-    "plant_model",
     "jacobian",
     "predict",
     "update",
@@ -40,26 +39,6 @@ class FilterError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class StateSpaceModel:
-    """Transition/observation pair the filter linearizes around."""
-
-    g: Callable[[np.ndarray, float], np.ndarray]
-    h: Callable[[np.ndarray], np.ndarray]
-    m: int
-    d: int
-
-
-def plant_model(spec: PlantSpec) -> StateSpaceModel:
-    """Model wrapper for the fixed plant in :mod:`dpalarm.plant`."""
-    return StateSpaceModel(
-        g=lambda x, u: transition(x, u, spec),
-        h=lambda x: observation(x, spec),
-        m=spec.m,
-        d=spec.d,
-    )
-
-
-@dataclass(frozen=True)
 class EkfBelief:
     """Posterior (or predicted) state estimate and covariance."""
 
@@ -69,26 +48,19 @@ class EkfBelief:
 
 @dataclass(frozen=True, slots=True)
 class ResidualRecord:
-    """One filter step's residual r, residual covariance S, and measurement y."""
+    """One filter step's residual r and residual covariance S."""
 
     t: int
     r: np.ndarray
     s: np.ndarray
-    y: np.ndarray
 
     @property
     def d(self) -> int:
         return len(self.r)
 
 
-def jacobian(
-    f: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    h_fd: float | None = None,
-) -> np.ndarray:
-    """Central-difference Jacobian of f at x0.
-
-    Per-coordinate step h_j = h_fd, or 1e-6 * max(1, |x0_j|) when h_fd is None.
+def jacobian(f: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of f at x0, per-coordinate step 1e-6 * max(1, |x0_j|).
 
     Raises:
         FilterError: f evaluates non-finite, naming the offending coordinate.
@@ -98,7 +70,7 @@ def jacobian(
     f0 = np.asarray(f(x0), dtype=float)
     out = np.empty((len(f0), n))
     for j in range(n):
-        h = h_fd if h_fd is not None else 1e-6 * max(1.0, abs(x0[j]))
+        h = 1e-6 * max(1.0, abs(x0[j]))
         xp = x0.copy()
         xm = x0.copy()
         xp[j] += h
@@ -115,23 +87,16 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def predict(belief: EkfBelief, u: float, model: StateSpaceModel, q: np.ndarray) -> EkfBelief:
+def predict(belief: EkfBelief, u: float, spec: PlantSpec) -> EkfBelief:
     """Time update: x_pred = g(x, u), P_pred = G P G^T + Q (symmetrized)."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (model.m, model.m):
-        raise ValueError(f"Q must be {model.m}x{model.m}, got {q.shape}")
-    x_pred = np.asarray(model.g(belief.x_hat, u), dtype=float)
-    g_jac = jacobian(lambda x: model.g(x, u), belief.x_hat)
-    p_pred = _symmetrize(g_jac @ belief.cov @ g_jac.T + q)
+    x_pred = transition(belief.x_hat, u, spec)
+    g_jac = jacobian(lambda x: transition(x, u, spec), belief.x_hat)
+    p_pred = _symmetrize(g_jac @ belief.cov @ g_jac.T + spec.process_cov)
     return EkfBelief(x_hat=x_pred, cov=p_pred)
 
 
 def update(
-    predicted: EkfBelief,
-    y: np.ndarray,
-    model: StateSpaceModel,
-    r_meas: np.ndarray,
-    t: int = 0,
+    predicted: EkfBelief, y: np.ndarray, spec: PlantSpec, t: int = 0
 ) -> tuple[EkfBelief, ResidualRecord]:
     """Measurement update returning the new belief and the residual record.
 
@@ -147,15 +112,12 @@ def update(
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("measurement must be finite")
-    r_meas = np.asarray(r_meas, dtype=float)
-    if r_meas.shape != (model.d, model.d):
-        raise ValueError(f"R_meas must be {model.d}x{model.d}, got {r_meas.shape}")
 
-    h_jac = jacobian(model.h, predicted.x_hat)
-    r = y - np.asarray(model.h(predicted.x_hat), dtype=float)
-    s = _symmetrize(h_jac @ predicted.cov @ h_jac.T + r_meas)
-    ridge = 1e-10 * np.trace(s) / model.d
-    s_reg = s + ridge * np.eye(model.d)
+    h_jac = jacobian(lambda x: observation(x, spec), predicted.x_hat)
+    r = y - observation(predicted.x_hat, spec)
+    s = _symmetrize(h_jac @ predicted.cov @ h_jac.T + spec.measurement_cov)
+    ridge = 1e-10 * np.trace(s) / spec.d
+    s_reg = s + ridge * np.eye(spec.d)
     try:
         s_inv_ht = np.linalg.solve(s_reg, h_jac @ predicted.cov.T)
     except np.linalg.LinAlgError as exc:
@@ -165,29 +127,23 @@ def update(
         ) from exc
     gain = s_inv_ht.T  # P_pred H^T S^-1
     x_new = predicted.x_hat + gain @ r
-    p_new = _symmetrize((np.eye(model.m) - gain @ h_jac) @ predicted.cov)
+    p_new = _symmetrize((np.eye(spec.m) - gain @ h_jac) @ predicted.cov)
     belief = EkfBelief(x_hat=x_new, cov=p_new)
-    return belief, ResidualRecord(t=t, r=r, s=s, y=y)
+    return belief, ResidualRecord(t=t, r=r, s=s)
 
 
 def run_filter(
-    trace: Sequence[TraceStep],
-    model: StateSpaceModel,
-    q: np.ndarray,
-    r_meas: np.ndarray,
-    initial: EkfBelief,
-    u: float | Callable[[int], float] = 0.0,
+    trace: Sequence[TraceStep], spec: PlantSpec, initial: EkfBelief
 ) -> list[ResidualRecord]:
-    """Run predict/update over a trace; deterministic, step errors annotated."""
+    """Run predict/update over a trace at u = 0, as ``generate_trace`` simulates it."""
     if len(trace) == 0:
         raise ValueError("trace must be nonempty")
     belief = initial
     records: list[ResidualRecord] = []
     for step in trace:
-        u_t = u(step.t - 1) if callable(u) else float(u)
         try:
-            pred = predict(belief, u_t, model, q)
-            belief, rec = update(pred, step.y, model, r_meas, t=step.t)
+            pred = predict(belief, 0.0, spec)
+            belief, rec = update(pred, step.y, spec, t=step.t)
         except (FilterError, ValueError) as exc:
             raise FilterError(f"filter failed at step t={step.t}: {exc}") from exc
         records.append(rec)
@@ -219,9 +175,8 @@ def residuals_from_csv(fh: io.TextIOBase) -> list[ResidualRecord]:
     """Read records written by residuals_to_csv (no validation beyond shape).
 
     Each row is parsed into one float array; a record's ``r`` and ``s`` are
-    views of it, and every record shares one read-only all-NaN ``y`` (the CSV
-    carries no measurements). Use the ingest command for schema/PSD
-    validation of external streams.
+    views of it. Use the ingest command for schema/PSD validation of external
+    streams.
     """
     header = fh.readline().strip().split(",")
     if not header or header[0] != "t":
@@ -234,8 +189,6 @@ def residuals_from_csv(fh: io.TextIOBase) -> list[ResidualRecord]:
     )
     if header != expected:
         raise ValueError(f"bad residual header: {header}")
-    y = np.full(d, np.nan)
-    y.flags.writeable = False
     records = []
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()
@@ -245,5 +198,5 @@ def residuals_from_csv(fh: io.TextIOBase) -> list[ResidualRecord]:
         if len(parts) != 1 + d + d * d:
             raise ValueError(f"row {lineno}: expected {1 + d + d * d} fields, got {len(parts)}")
         vals = np.array(parts[1:], dtype=float)
-        records.append(ResidualRecord(t=int(parts[0]), r=vals[:d], s=vals[d:].reshape(d, d), y=y))
+        records.append(ResidualRecord(t=int(parts[0]), r=vals[:d], s=vals[d:].reshape(d, d)))
     return records

@@ -91,7 +91,8 @@ class _AuditLog:
     """Append-only audit sink; the event loop is its only writer."""
 
     def __init__(self, path: str | Path):
-        self._fh = open(path, "a", encoding="utf-8")
+        # "\n" only ends a line: a tuple may hold a raw "\r" (JSON whitespace)
+        self._fh = open(path, "a", encoding="utf-8", newline="\n")
 
     def append(self, direction: str, record: str) -> None:
         stamp = datetime.now(timezone.utc).isoformat()
@@ -398,13 +399,20 @@ class RegulatorServer:
         raw = line.decode("utf-8", errors="replace")
         try:
             tup = decode_record(raw)
-            if isinstance(tup, Handshake):
-                raise ProtocolError("duplicate handshake")
             if isinstance(tup, Verdict):
                 raise ProtocolError("unexpected verdict from client")
-            verdict = session.verify(tup)
         except ProtocolError as exc:
             verdict = Verdict(uid=uid, w=-1, rho_hat=0, matched=False, reason=str(exc))
+        else:
+            # Replay reads a logged handshake as a new session and files a
+            # logged tuple under its own uid's session: a line it would misread
+            # ends the session unlogged, as an overlong line does.
+            if isinstance(tup, Handshake) or tup.uid != uid:
+                reason = "duplicate handshake" if isinstance(tup, Handshake) else "uid mismatch"
+                logger.warning("session %s: %s, closing", uid, reason)
+                self._reject(conn, uid, reason)
+                return
+            verdict = session.verify(tup)
         out = encode_record(verdict)
         self.audit.append_pair(raw, out)
         self._send(conn, out)
@@ -604,7 +612,7 @@ def replay_audit(audit_path: str | Path) -> list[tuple[str, str]]:
     chunk: list = []  # TX records and [session, tuple, verify_cr verdict] items, in log order
     stacks: dict[RegulatorSession, list] = {}  # the chunk's items that reach verify_cr
     n_tuples = 0
-    with open(audit_path, "r", encoding="utf-8") as fh:
+    with open(audit_path, "r", encoding="utf-8", newline="\n") as fh:
         for raw in fh:
             raw = raw.rstrip("\n")
             if not raw:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig
-from .ekf import EkfBelief, ResidualRecord, plant_model, run_filter
+from .ekf import EkfBelief, ResidualRecord, run_filter
 from .plant import TraceStep, generate_trace
 from .privacy import PrivacyParams
 from .protocol import (
@@ -57,9 +57,8 @@ def simulated_stream(
     trace = generate_trace(
         spec, scenario.attack, total, np.random.default_rng(trace_seed).integers(2**63)
     )
-    model = plant_model(spec)
     initial = EkfBelief(x_hat=np.zeros(spec.m), cov=1e-3 * np.eye(spec.m))
-    records = run_filter(trace, model, spec.process_cov, spec.measurement_cov, initial)
+    records = run_filter(trace, spec, initial)
     return trace[scenario.warmup_steps :], records[scenario.warmup_steps :]
 
 

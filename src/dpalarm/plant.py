@@ -1,15 +1,16 @@
 """Nonlinear plant simulator with injectable sensor attacks.
 
-The fixed plant is a damped pendulum-like system with two states and three
-sensors:
+The fixed plant is a damped pendulum-like system with m = 2 states and d = 3
+sensors (class constants of ``PlantSpec``):
 
     x1' = x1 + dt * x2
     x2' = x2 + dt * (-a*sin(x1) - b*x2 + u)
     y   = [x1, x2, sin(x1) + 0.5*x2]
 
 Process noise N(0, Q) enters the transition, measurement noise N(0, R_meas)
-the observation. Attacks modify measurements only (sensor-level false data
-injection); plant state is never touched.
+the observation. Traces run with u = 0, as does the filter in
+:mod:`dpalarm.ekf`. Attacks modify measurements only (sensor-level false
+data injection); plant state is never touched.
 
 Everything here is a pure function of explicit state plus a seeded rng, so
 independent traces can run in parallel freely.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -60,10 +61,10 @@ def _check_psd(mat: np.ndarray, name: str, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlantSpec:
-    """Plant dimensions, noise covariances, and nonlinearity parameters."""
+    """Plant step, noise covariances, and nonlinearity parameters."""
 
-    m: int = 2
-    d: int = 3
+    m: ClassVar[int] = 2
+    d: ClassVar[int] = 3
     dt: float = 0.1
     process_cov: np.ndarray = field(default_factory=lambda: 1e-4 * np.eye(2))
     measurement_cov: np.ndarray = field(default_factory=lambda: 1e-2 * np.eye(3))
@@ -71,12 +72,6 @@ class PlantSpec:
     b: float = 0.5
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"state dim must be >= 1, got {self.m}")
-        if self.d < self.m:
-            raise ValueError(f"sensor dim {self.d} must be >= state dim {self.m}")
-        if self.m != 2 or self.d != 3:
-            raise ValueError("the fixed plant is 2-state / 3-sensor")
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         object.__setattr__(self, "process_cov", _check_psd(self.process_cov, "process_cov", self.m))
@@ -224,9 +219,8 @@ def generate_trace(
     n_steps: int,
     seed: int,
     x0: np.ndarray | None = None,
-    u: float | Callable[[int], float] = 0.0,
 ) -> list[TraceStep]:
-    """Simulate n_steps of the plant; deterministic given the seed.
+    """Simulate n_steps of the plant at u = 0; deterministic given the seed.
 
     The attack is applied post-measurement. Steps are numbered 1..n_steps
     (step 0 is the initial state, not emitted).
@@ -240,8 +234,7 @@ def generate_trace(
     last_clean = observation(state.x, spec)
     steps: list[TraceStep] = []
     for _ in range(n_steps):
-        u_t = u(state.t) if callable(u) else float(u)
-        state, y_clean = simulate_step(state, u_t, spec, rng, q_sqrt, r_sqrt)
+        state, y_clean = simulate_step(state, 0.0, spec, rng, q_sqrt, r_sqrt)
         if attack is not None:
             y = inject_attack(y_clean, attack, state.t, last_clean)
             if not attack.active(state.t):

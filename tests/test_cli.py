@@ -25,7 +25,7 @@ from dpalarm.config import (
 )
 from dpalarm.bounds import BoundReport
 from dpalarm.ekf import residuals_from_csv
-from dpalarm.pipeline import residual_stream
+from dpalarm.pipeline import residual_stream, simulated_stream
 from dpalarm.plant import AttackSpec, trace_from_csv
 from dpalarm.privacy import PrivacyParams
 
@@ -63,6 +63,23 @@ class TestParamsFile:
         with pytest.raises(ValueError, match="key=value"):
             parse_params_text("this is not a pair\n")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("p", "2.9"), ("epoch_len", "10.7"), ("warmup_steps", "inf"), ("eps_r_waiver", "0.5"),
+         ("attack_t_start", "100.5")],
+    )
+    def test_non_whole_integer_key_rejected(self, key, value):
+        sc = default_scenario(attack=AttackSpec("bias", frozenset({0}), 0.5, 100, 900))
+        lines = format_params_text(reference_params(), sc).splitlines()
+        text = "\n".join(f"{key}={value}" if ln.startswith(f"{key}=") else ln for ln in lines)
+        with pytest.raises(ValueError, match=f"'{key}' must be a whole number"):
+            parse_params_text(text)
+
+    def test_whole_float_integer_key_accepted(self):
+        text = format_params_text(reference_params(), default_scenario())
+        _, sc = parse_params_text(text.replace("epoch_len=10", "epoch_len=10.0"))
+        assert sc.epoch_len == 10 and type(sc.epoch_len) is int
+
 
 class TestSimulate:
     def test_emits_trace_and_residuals(self, tmp_path):
@@ -86,8 +103,10 @@ class TestSimulate:
         # the trace rows are the steps the residuals came from
         with open(paths[0], encoding="utf-8") as fh:
             trace = trace_from_csv(fh)
-        assert [step.t for step in trace] == [rec.t for rec in expected]
-        assert all(np.array_equal(step.y, rec.y) for step, rec in zip(trace, expected))
+        steps, _ = simulated_stream(sc, 120, seed=3)
+        assert [step.t for step in trace] == [step.t for step in steps] == [rec.t for rec in expected]
+        for got, want in zip(trace, steps):
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
 
 
 class TestSweep:

@@ -6,26 +6,26 @@ import pytest
 from dpalarm.ekf import (
     EkfBelief,
     FilterError,
-    StateSpaceModel,
     jacobian,
-    plant_model,
     predict,
     residuals_from_csv,
     residuals_to_csv,
     run_filter,
     update,
 )
-from dpalarm.plant import AttackSpec, default_spec, generate_trace
+from dpalarm.plant import AttackSpec, default_spec, generate_trace, observation, transition
 from dpalarm.stats import eig_factorize, whiten
 from conftest import random_psd
 
 
-def linear_model(gain=2.0, m=2):
-    return StateSpaceModel(g=lambda x, u: gain * x, h=lambda x: x, m=m, d=m)
+def g_jac(x, spec):
+    """Closed-form Jacobian of the plant transition at u = 0."""
+    return np.array([[1.0, spec.dt], [-spec.dt * spec.a * np.cos(x[0]), 1.0 - spec.dt * spec.b]])
 
 
-def scalar_model():
-    return StateSpaceModel(g=lambda x, u: x, h=lambda x: x, m=1, d=1)
+def h_jac(x):
+    """Closed-form Jacobian of the plant observation."""
+    return np.array([[1.0, 0.0], [0.0, 1.0], [np.cos(x[0]), 0.5]])
 
 
 class TestJacobian:
@@ -39,19 +39,15 @@ class TestJacobian:
 
     def test_plant_observation_analytic(self):
         spec = default_spec()
-        model = plant_model(spec)
         x0 = np.array([0.3, 0.2])
-        analytic = np.array([[1.0, 0.0], [0.0, 1.0], [np.cos(0.3), 0.5]])
-        assert np.max(np.abs(jacobian(model.h, x0) - analytic)) < 1e-6
+        got = jacobian(lambda x: observation(x, spec), x0)
+        assert np.max(np.abs(got - h_jac(x0))) < 1e-6
 
     def test_plant_transition_analytic(self):
         spec = default_spec()
-        model = plant_model(spec)
         x0 = np.array([-0.7, 1.1])
-        analytic = np.array(
-            [[1.0, spec.dt], [-spec.dt * spec.a * np.cos(-0.7), 1.0 - spec.dt * spec.b]]
-        )
-        got = jacobian(lambda x: model.g(x, 0.0), x0)
+        analytic = g_jac(x0, spec)
+        got = jacobian(lambda x: transition(x, 0.0, spec), x0)
         assert np.max(np.abs(got - analytic)) / np.max(np.abs(analytic)) < 1e-5
 
     def test_nonfinite_named(self):
@@ -64,75 +60,89 @@ class TestJacobian:
 
 
 class TestPredict:
-    def test_identity_model_no_noise(self):
-        belief = EkfBelief(np.array([1.0, 2.0]), np.diag([0.5, 0.25]))
-        out = predict(belief, 0.0, linear_model(1.0), np.zeros((2, 2)))
-        assert np.allclose(out.x_hat, belief.x_hat)
-        assert np.allclose(out.cov, belief.cov, atol=1e-9)
-
-    def test_linear_gain(self):
-        belief = EkfBelief(np.zeros(2), np.eye(2))
-        out = predict(belief, 0.0, linear_model(2.0), np.eye(2))
-        assert np.allclose(out.cov, 5.0 * np.eye(2), atol=1e-6)
+    def test_covariance_matches_closed_form(self, rng):
+        spec = default_spec()
+        belief = EkfBelief(np.array([0.4, -0.3]), random_psd(rng, 2, (0.01, 2.0)))
+        out = predict(belief, 0.0, spec)
+        g = g_jac(belief.x_hat, spec)
+        assert np.array_equal(out.x_hat, transition(belief.x_hat, 0.0, spec))
+        assert np.allclose(out.cov, g @ belief.cov @ g.T + spec.process_cov, rtol=1e-8, atol=0)
 
     def test_psd_random_trials(self, rng):
         spec = default_spec()
-        model = plant_model(spec)
         for _ in range(1000):
             belief = EkfBelief(rng.normal(size=2), random_psd(rng, 2, (0.01, 2.0)))
-            out = predict(belief, float(rng.normal()), model, spec.process_cov)
+            out = predict(belief, float(rng.normal()), spec)
             eig = np.linalg.eigvalsh(out.cov)
             assert eig[0] >= -1e-8 * np.trace(out.cov)
             assert np.allclose(out.cov, out.cov.T)
 
-    def test_bad_q_shape(self):
-        with pytest.raises(ValueError, match="Q"):
-            predict(EkfBelief(np.zeros(2), np.eye(2)), 0.0, linear_model(), np.eye(3))
-
 
 class TestUpdate:
     def test_zero_innovation(self):
+        spec = default_spec()
         pred = EkfBelief(np.array([0.4, -0.1]), 0.1 * np.eye(2))
-        y = pred.x_hat.copy()
-        belief, rec = update(pred, y, linear_model(1.0), 0.01 * np.eye(2), t=3)
-        assert np.allclose(rec.r, 0.0)
-        assert np.allclose(belief.x_hat, pred.x_hat)
+        y = observation(pred.x_hat, spec)
+        belief, rec = update(pred, y, spec, t=3)
+        assert np.array_equal(rec.r, np.zeros(3))
+        assert np.array_equal(belief.x_hat, pred.x_hat)
         assert rec.t == 3
 
-    def test_textbook_scalar_gain(self):
-        pred = EkfBelief(np.zeros(1), np.eye(1))
-        belief, rec = update(pred, np.array([1.0]), scalar_model(), np.eye(1))
-        # K = P H (H P H + R)^-1 = 0.5; P+ = (1-K)P = 0.5
-        assert belief.x_hat[0] == pytest.approx(0.5, abs=1e-9)
-        assert belief.cov[0, 0] == pytest.approx(0.5, abs=1e-9)
-        assert rec.s[0, 0] == pytest.approx(2.0, abs=1e-9)
+    def test_textbook_gain(self):
+        spec = default_spec()
+        pred = EkfBelief(np.array([0.2, 0.1]), np.diag([0.3, 0.2]))
+        y = np.array([0.5, -0.2, 0.4])
+        belief, _ = update(pred, y, spec)
+        h = h_jac(pred.x_hat)
+        s = h @ pred.cov @ h.T + spec.measurement_cov
+        gain = pred.cov @ h.T @ np.linalg.inv(s)
+        r = y - observation(pred.x_hat, spec)
+        assert np.allclose(belief.x_hat, pred.x_hat + gain @ r, rtol=1e-8, atol=0)
+        assert np.allclose(belief.cov, (np.eye(2) - gain @ h) @ pred.cov, rtol=1e-8, atol=1e-14)
 
     def test_residual_covariance_is_not_inverted(self):
-        pred = EkfBelief(np.zeros(1), np.array([[3.0]]))
-        _, rec = update(pred, np.array([0.2]), scalar_model(), np.array([[1.0]]))
-        assert rec.s[0, 0] == pytest.approx(4.0, abs=1e-9)
+        # S = H P H^T + R itself, the covariance of r under the null
+        spec = default_spec()
+        pred = EkfBelief(np.array([-0.6, 0.3]), np.array([[3.0, 0.5], [0.5, 2.0]]))
+        _, rec = update(pred, np.array([0.2, 0.1, -0.3]), spec)
+        h = h_jac(pred.x_hat)
+        assert np.allclose(rec.s, h @ pred.cov @ h.T + spec.measurement_cov, rtol=1e-8, atol=0)
 
 
 class TestRunFilter:
     def _clean_setup(self, n_steps, seed, attack=None):
         spec = default_spec()
         trace = generate_trace(spec, attack, n_steps, seed=seed)
-        model = plant_model(spec)
         init = EkfBelief(np.zeros(spec.m), 1e-3 * np.eye(spec.m))
-        records = run_filter(trace, model, spec.process_cov, spec.measurement_cov, init)
-        return spec, records
+        return spec, run_filter(trace, spec, init)
+
+    def test_matches_textbook_ekf(self):
+        # the same filter written out with the closed-form G and H
+        at = AttackSpec("bias", frozenset({0}), 0.5, 200, 10**9)
+        spec = default_spec()
+        trace = generate_trace(spec, at, 500, seed=11)
+        records = run_filter(trace, spec, EkfBelief(np.zeros(2), 1e-3 * np.eye(2)))
+        x, p = np.zeros(2), 1e-3 * np.eye(2)
+        for step, rec in zip(trace, records):
+            g = g_jac(x, spec)
+            x, p = transition(x, 0.0, spec), g @ p @ g.T + spec.process_cov
+            h = h_jac(x)
+            r = step.y - observation(x, spec)
+            s = h @ p @ h.T + spec.measurement_cov
+            gain = p @ h.T @ np.linalg.inv(s)
+            x, p = x + gain @ r, (np.eye(2) - gain @ h) @ p
+            assert rec.t == step.t
+            assert np.linalg.norm(rec.r - r) <= 1e-8 * np.linalg.norm(r)
+            assert np.linalg.norm(rec.s - s) <= 1e-8 * np.linalg.norm(s)
 
     def test_zero_noise_perfect_init(self):
         spec = default_spec(
             process_cov=np.zeros((2, 2)), measurement_cov=np.zeros((3, 3))
         )
         trace = generate_trace(spec, None, 100, seed=1, x0=np.array([0.2, 0.1]))
-        model = plant_model(spec)
         init = EkfBelief(np.array([0.2, 0.1]), np.zeros((2, 2)))
-        nominal = default_spec()
-        records = run_filter(
-            trace, model, nominal.process_cov, nominal.measurement_cov, init
-        )
+        # the nominal noise covariances keep S invertible
+        records = run_filter(trace, default_spec(), init)
         assert max(float(np.linalg.norm(r.r)) for r in records) < 1e-6
 
     def test_deterministic(self):
@@ -171,18 +181,13 @@ class TestRunFilter:
         spec = default_spec()
         trace = generate_trace(spec, None, 5, seed=2)
         bad = trace[:2] + [trace[2].__class__(t=3, x=trace[2].x, y=np.array([np.nan] * 3))]
-        model = plant_model(spec)
         init = EkfBelief(np.zeros(2), 1e-3 * np.eye(2))
         with pytest.raises(FilterError, match="t=3"):
-            run_filter(bad, model, spec.process_cov, spec.measurement_cov, init)
+            run_filter(bad, spec, init)
 
     def test_empty_trace_rejected(self):
-        spec = default_spec()
         with pytest.raises(ValueError):
-            run_filter(
-                [], plant_model(spec), spec.process_cov, spec.measurement_cov,
-                EkfBelief(np.zeros(2), np.eye(2)),
-            )
+            run_filter([], default_spec(), EkfBelief(np.zeros(2), np.eye(2)))
 
 
 class TestResidualCsv:
@@ -190,9 +195,7 @@ class TestResidualCsv:
         spec = default_spec()
         trace = generate_trace(spec, None, 30, seed=5)
         init = EkfBelief(np.zeros(2), 1e-3 * np.eye(2))
-        records = run_filter(
-            trace, plant_model(spec), spec.process_cov, spec.measurement_cov, init
-        )
+        records = run_filter(trace, spec, init)
         buf = io.StringIO()
         residuals_to_csv(records, buf)
         buf.seek(0)
@@ -202,9 +205,6 @@ class TestResidualCsv:
             assert a.t == b.t
             assert np.array_equal(a.r, b.r)
             assert np.array_equal(a.s, b.s)
-            # the CSV carries no measurements: a shared, read-only NaN vector
-            assert np.all(np.isnan(b.y)) and b.y.shape == (b.d,)
-            assert not b.y.flags.writeable
 
     def test_header_schema(self):
         buf = io.StringIO("t,r1,badcol\n")

@@ -100,7 +100,7 @@ class TestLoopback:
 
         path = tmp_path / "residuals.csv"
         records = [
-            ResidualRecord(t=i, r=np.zeros(2), s=np.eye(2), y=np.zeros(2))
+            ResidualRecord(t=i, r=np.zeros(2), s=np.eye(2))
             for i in range(1, 40)
         ]
         with open(path, "w") as fh:
@@ -691,3 +691,81 @@ class TestReplayChunks:
             monkeypatch.setattr(netsvc, "REPLAY_CHUNK", 5)
             assert _replays_exactly(audit, 24) == whole
             monkeypatch.undo()
+
+
+class TestReplayFollowsTheLiveSession:
+    """A line that replay would file under another session than the live one
+    ends its session unlogged; what is logged replays byte for byte."""
+
+    @staticmethod
+    def _audit_stats(server, capsys):
+        from dpalarm import cli
+
+        assert cli.main(["audit-stats", str(server.config.audit_path)]) == 0
+        return capsys.readouterr().out
+
+    def test_foreign_uid_tuple_ends_the_session(self, server, capsys):
+        rng = np.random.default_rng(4)
+        a, b = _Client(server, "a"), _Client(server, "b")
+        try:
+            assert not a.send(_cr("a", 0, rng)).rejected
+            foreign = a.send(_cr("b", 0, rng))
+            assert foreign.rejected and foreign.reason == "uid mismatch"
+            assert (foreign.uid, foreign.w) == ("a", -1)
+            assert a.fh.readline() == b""  # closed by the regulator
+            # b's own first epoch: verified live, and so in replay
+            own = b.send(_cr("b", 0, rng))
+            assert not own.rejected and own.reason is None
+        finally:
+            a.close()
+            b.close()
+        TestSessionLimit._wait_for(lambda: server.active_sessions == 0)
+        audit = Path(server.config.audit_path).read_text().splitlines()
+        assert [ln.split(" ", 2)[1] for ln in audit if "uid mismatch" in ln] == ["TX"]
+        assert sum('"uid":"b","w":0' in ln for ln in audit if " RX " in ln) == 1  # b's own only
+        _replays_exactly(server.config.audit_path, 2)
+        out = self._audit_stats(server, capsys)
+        assert 'uid="a" tuples=1 exact=1 differing=0' in out
+        assert 'uid="b" tuples=1 exact=1 differing=0' in out
+
+    def test_second_handshake_ends_the_session(self, server, capsys):
+        rng = np.random.default_rng(5)
+        first = _Client(server, "a")
+        try:
+            assert not first.send(_cr("a", 0, rng)).rejected
+            hs = Handshake(uid="a", mode="cr", d=3, p=3, epoch_len=10, params=quiet_params())
+            again = first.send(encode_record(hs))
+            assert again.rejected and again.reason == "duplicate handshake"
+            assert first.fh.readline() == b""
+        finally:
+            first.close()
+        TestSessionLimit._wait_for(lambda: server.active_sessions == 0)
+        # a new session under the same uid starts a new index run
+        second = _Client(server, "a")
+        try:
+            assert not second.send(_cr("a", 0, rng)).rejected
+            assert second.send(_cr("a", 0, rng)).reason == "duplicate epoch index"
+        finally:
+            second.close()
+        TestSessionLimit._wait_for(lambda: server.active_sessions == 0)
+        audit = Path(server.config.audit_path).read_text().splitlines()
+        assert sum('"params":' in ln for ln in audit) == 2  # the refused handshake is not logged
+        _replays_exactly(server.config.audit_path, 3)
+        out = self._audit_stats(server, capsys)
+        assert 'uid="a" tuples=3 exact=3 differing=0' in out
+
+    def test_raw_carriage_return_replays(self, server, capsys):
+        rng = np.random.default_rng(6)
+        client = _Client(server, "cr")
+        try:
+            inner = _cr("cr", 0, rng).replace(',"w":', ',\r"w":')  # JSON whitespace
+            trailing = _cr("cr", 1, rng) + "\r"  # a CRLF line end
+            live = [client.send(inner), client.send(trailing)]
+        finally:
+            client.close()
+        TestSessionLimit._wait_for(lambda: server.active_sessions == 0)
+        assert [(v.w, v.reason) for v in live] == [(0, None), (1, None)]
+        assert b"\r" in Path(server.config.audit_path).read_bytes()
+        pairs = _replays_exactly(server.config.audit_path, 2)
+        assert [decode_record(logged) for logged, _ in pairs] == live
+        assert 'uid="cr" tuples=2 exact=2 differing=0' in self._audit_stats(server, capsys)

@@ -5,7 +5,6 @@ import pytest
 
 from dpalarm.plant import (
     AttackSpec,
-    PlantSpec,
     PlantState,
     default_spec,
     generate_trace,
@@ -138,13 +137,11 @@ class TestTraceCsv:
 
 
 class TestSpecValidation:
-    def test_dims(self):
-        with pytest.raises(ValueError):
-            PlantSpec(m=0)
-        with pytest.raises(ValueError):
-            PlantSpec(m=2, d=1)
-
     def test_covariances(self):
+        with pytest.raises(ValueError, match="2x2"):
+            default_spec(process_cov=np.eye(3))
+        with pytest.raises(ValueError, match="3x3"):
+            default_spec(measurement_cov=np.eye(2))
         with pytest.raises(ValueError, match="PSD"):
             default_spec(process_cov=np.diag([1.0, -1.0]))
         with pytest.raises(ValueError, match="symmetric"):

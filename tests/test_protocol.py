@@ -42,7 +42,7 @@ def make_records(rng, n, d=3, t0=1, scale=0.1):
     for i in range(n):
         s = scale * random_psd(rng, d, (0.5, 2.0))
         r = np.linalg.cholesky(s) @ rng.standard_normal(d)
-        records.append(ResidualRecord(t=t0 + i, r=r, s=s, y=np.zeros(d)))
+        records.append(ResidualRecord(t=t0 + i, r=r, s=s))
     return records
 
 
@@ -75,7 +75,7 @@ class TestAggregateEpoch:
 
     def test_zero_residuals_no_alarm(self, rng):
         records = [
-            ResidualRecord(t=i, r=np.zeros(3), s=np.eye(3), y=np.zeros(3))
+            ResidualRecord(t=i, r=np.zeros(3), s=np.eye(3))
             for i in range(1, 6)
         ]
         agg = aggregate_epoch(records, w=0, alpha=0.05, p=3)
@@ -84,7 +84,7 @@ class TestAggregateEpoch:
 
     def test_gap_rejected(self, rng):
         records = make_records(rng, 3)
-        records[2] = ResidualRecord(t=99, r=records[2].r, s=records[2].s, y=records[2].y)
+        records[2] = ResidualRecord(t=99, r=records[2].r, s=records[2].s)
         with pytest.raises(ValueError, match="gap"):
             aggregate_epoch(records, w=0, alpha=0.05, p=3)
 
