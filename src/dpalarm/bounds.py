@@ -24,7 +24,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import special
+# Not `from scipy import special`: scipy loads scipy.special at its first
+# attribute access, so a process that computes no p-value or quantile (a CR
+# regulator, CR replay, ingest) never pays its ~0.3 s import and ~20 MB.
+import scipy
 
 from .privacy import PrivacyParams
 from .stats import (
@@ -219,7 +222,7 @@ class BoundInputs:
             w1 = 1.0 if arg <= 0.0 else 0.0
         else:
             rate = params.eps_cov / scale
-            w1 = 1.0 - (float(special.gammainc(self.p, rate * arg)) if arg > 0.0 else 0.0)
+            w1 = 1.0 - (float(scipy.special.gammainc(self.p, rate * arg)) if arg > 0.0 else 0.0)
         rate = params.eps_cov / params.delta_l
         w2 = (float(-np.expm1(-rate * theta_l)) if theta_l > 0.0 else 0.0) ** self.p
         return float(w1), float(w2)
@@ -480,7 +483,7 @@ def statistic_privacy_profile(
     if eps_prime is not None and float(eps_prime) > eps_lb:
         increment = float(eps_prime) - eps_cov
     u = sigma**2 * increment / b - a / (2.0 * b)
-    delta_out = special.erf(u / math.sqrt(2.0 * a))  # Phi_a(u) - Phi_a(-u)
+    delta_out = scipy.special.erf(u / math.sqrt(2.0 * a))  # Phi_a(u) - Phi_a(-u)
     return float(eps_cov + increment), _clamp01(delta_out)
 
 

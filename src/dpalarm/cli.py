@@ -17,7 +17,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import special
+# Not `from scipy import special`: scipy loads scipy.special at its first
+# attribute access, so a process that computes no p-value or quantile (a CR
+# regulator, CR replay, ingest) never pays its ~0.3 s import and ~20 MB.
+import scipy
 
 from . import __version__
 from .bounds import (
@@ -135,7 +138,7 @@ def _epoch_rows(epochs: list[PipelineEpoch], p: int) -> list[tuple]:
                 ep.w,
                 ep.result.t_stat,
                 ep.result.t_res_scaled,
-                float(special.chdtrc(p, ep.result.t_stat)),
+                float(scipy.special.chdtrc(p, ep.result.t_stat)),
                 pv_dp,
                 ep.rho,
                 ep.rho_hat,

@@ -465,14 +465,14 @@ class RegulatorSession:
     def verify(self, tup: CrTuple | PvTuple, cr_verdict: Verdict | None = None) -> Verdict:
         """Admit a tuple and verify it, or reject it.
 
-        ``cr_verdict`` is ``verify_cr(tup, handshake.p)`` when the caller has
-        it already, as a replay that verifies a batch in one stack does; it
-        is used only for a CR tuple that is admitted.
+        The tuple's uid must be the handshake's: the caller files each tuple
+        under its own uid's session (a regulator rejects a foreign uid before
+        this point). ``cr_verdict`` is ``verify_cr(tup, handshake.p)`` when the
+        caller has it already, as a replay that verifies a batch in one stack
+        does; it is used only for a CR tuple that is admitted.
         """
         self.tuples_received += 1
-        if tup.uid != self.handshake.uid:
-            reason = "uid mismatch"
-        elif self._seen(tup.w):
+        if self._seen(tup.w):
             reason = "duplicate epoch index"
         elif self._backlog_full(tup.w):
             reason = f"out-of-order backlog full: {MAX_OUT_OF_ORDER} epochs"

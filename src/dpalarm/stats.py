@@ -6,6 +6,10 @@ noncentral chi-square CDF and upper quantile (thin checked wrappers over the
 ``scipy.special`` ufuncs ``chndtr`` / ``chndtrix``), plus the Laplace sampler
 of the covariance phase.
 
+Factorization, whitening and the Laplace sampler run on numpy alone; the
+chi-square test, quantiles and CDFs load ``scipy.special`` at their first
+call, so a process that computes none (a CR regulator) never imports it.
+
 All functions are pure and safe for unrestricted parallel use.
 """
 
@@ -15,7 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+# Not `from scipy import special`: scipy loads scipy.special at its first
+# attribute access, so a process that computes no p-value or quantile (a CR
+# regulator, CR replay, ingest) never pays its ~0.3 s import and ~20 MB.
+import scipy
 
 __all__ = [
     "CovFactorization",
@@ -258,7 +265,7 @@ def central_chi2_quantile(alpha_upper: float, k: float) -> float:
     """Upper-alpha quantile of the central chi-square with k dof."""
     if not 0.0 < alpha_upper < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha_upper}")
-    return float(2.0 * special.gammaincinv(k / 2.0, 1.0 - alpha_upper))
+    return float(2.0 * scipy.special.gammaincinv(k / 2.0, 1.0 - alpha_upper))
 
 
 def chi2_test(tau: np.ndarray, alpha: float) -> TestOutcome:
@@ -295,7 +302,7 @@ def noncentral_chi2_cdf(x, k: float, lam: float):
         raise ValueError(f"dof must be >= 1, got {k}")
     if lam < 0.0:
         raise ValueError(f"noncentrality must be >= 0, got {lam}")
-    out = special.chndtr(x, k, lam)
+    out = scipy.special.chndtr(x, k, lam)
     # scalars skip numpy's 0-d reductions, which cost more than chndtr itself
     if out.ndim == 0:
         bad_x, bad_out = x < 0.0, math.isnan(out)
@@ -328,7 +335,7 @@ def noncentral_chi2_quantile(alpha_upper: float, k: float, lam: float) -> float:
         raise ValueError(f"dof must be >= 1, got {k}")
     if lam < 0.0:
         raise ValueError(f"noncentrality must be >= 0, got {lam}")
-    q = float(special.chndtrix(1.0 - alpha_upper, k, lam))
+    q = float(scipy.special.chndtrix(1.0 - alpha_upper, k, lam))
     if math.isnan(q):
         raise ValueError(f"noncentrality {lam:.3e} outside the range of chndtrix")
     return q

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,19 @@ from dpalarm.protocol import (
     Verdict,
 )
 from dpalarm.stats import CovFactorization
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env():
+    """This environment with ``src`` first on PYTHONPATH, for a child Python.
+
+    pytest's ``pythonpath`` setting reaches only the test process, so a
+    subprocess finds the package only through this.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

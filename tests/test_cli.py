@@ -28,6 +28,7 @@ from dpalarm.ekf import residuals_from_csv
 from dpalarm.pipeline import residual_stream, simulated_stream
 from dpalarm.plant import AttackSpec, trace_from_csv
 from dpalarm.privacy import PrivacyParams
+from conftest import src_env
 
 
 def read_csv(path):
@@ -397,7 +398,7 @@ class TestMainEntry:
         out = subprocess.run(
             [sys.executable, "-m", "dpalarm.cli", "--seed", "2", "--out", str(tmp_path),
              "false-alarms", "--repeats", "1", "--epochs", "30"],
-            capture_output=True, text=True, timeout=300,
+            env=src_env(), capture_output=True, text=True, timeout=300,
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith("false_alarm_rate=")
@@ -407,7 +408,7 @@ class TestMainEntry:
         bad.write_text("t,r1,s11\n2,0.1,1.0\n1,0.1,1.0\n")
         out = subprocess.run(
             [sys.executable, "-m", "dpalarm.cli", "ingest", str(bad)],
-            capture_output=True, text=True, timeout=60,
+            env=src_env(), capture_output=True, text=True, timeout=60,
         )
         assert out.returncode == 1
         assert "ingest error" in out.stderr
@@ -424,7 +425,7 @@ class TestMainEntry:
         srv = subprocess.Popen(
             [sys.executable, "-m", "dpalarm.cli", "serve", "--listen",
              f"127.0.0.1:{port}", "--audit", str(audit)],
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env=src_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         try:
             deadline = time.time() + 10
@@ -437,7 +438,7 @@ class TestMainEntry:
             out = subprocess.run(
                 [sys.executable, "-m", "dpalarm.cli", "--seed", "1", "client",
                  "--connect", f"127.0.0.1:{port}", "--mode", "cr", "--epochs", "5"],
-                capture_output=True, text=True, timeout=300,
+                env=src_env(), capture_output=True, text=True, timeout=300,
             )
             assert out.returncode == 0, out.stderr
             assert out.stdout.count("w=") == 5

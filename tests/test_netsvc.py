@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import logging
 import socket
 import subprocess
@@ -32,7 +33,9 @@ from dpalarm.protocol import (
     Verdict,
     decode_record,
     encode_record,
+    verify_pv,
 )
+from conftest import src_env
 
 logging.getLogger("dpalarm.netsvc").setLevel(logging.ERROR)
 
@@ -328,9 +331,71 @@ def test_import_loads_no_scipy_optimize_or_stats():
         "b.statistic_privacy_profile(100.0, 2.0, tau, np.eye(3), eps_prime=200.0); "
         "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=60
+    )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+_COLD_REGULATOR = """
+import json, socket, sys
+import numpy as np
+from dpalarm import cli, netsvc
+from dpalarm.config import reference_params
+from dpalarm.protocol import CrTuple, Handshake, PvTuple, encode_record
+
+def session(mode, uid, tuples):
+    hs = Handshake(uid=uid, mode=mode, d=3, p=3, epoch_len=10, params=reference_params())
+    with socket.create_connection(server.address, timeout=30) as sock, sock.makefile("rwb") as fh:
+        fh.write(encode_record(hs).encode() + b"\\n")
+        verdicts = []
+        for tup in tuples:
+            fh.write(encode_record(tup).encode() + b"\\n")
+            fh.flush()
+            verdicts.append(fh.readline().rstrip(b"\\n").decode())
+        return verdicts
+
+netsvc.logger.setLevel("ERROR")
+audit, pv = sys.argv[1], json.loads(sys.argv[2])
+server = netsvc.RegulatorServer(("127.0.0.1", 0), netsvc.RegulatorConfig(audit))
+server.start_background()
+rng = np.random.default_rng(3)
+cr = []
+for w in range(4):
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    s_hat = (q * rng.uniform(0.5, 5.0, size=3)) @ q.T
+    cr.append(CrTuple(uid="cr", w=w, s_hat=0.5 * (s_hat + s_hat.T),
+                      tau_rg=rng.normal(size=3), threshold=3.0, rho=w % 2))
+out = {"cr": session("cr", "cr", cr)}
+out["audit_exit"] = cli.main(["audit-stats", audit])
+out["special_after_cr"] = "scipy.special" in sys.modules
+out["pv"] = session("pv", "pv", [PvTuple(**pv)])
+out["special_after_pv"] = "scipy.special" in sys.modules
+server.stop()
+print(json.dumps(out))
+"""
+
+
+def test_cr_regulator_never_loads_scipy_special(tmp_path):
+    # scipy.special is about 0.3 s and 20 MB of a regulator's start-up; only a
+    # p-value or quantile (a PV tuple here) may load it, on first use
+    pv = dict(uid="pv", w=0, t_res=7.5, t_cov=2.0, alpha_hat=0.05, rho=0)
+    audit = tmp_path / "audit.log"
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_REGULATOR, str(audit), json.dumps(pv)],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    *stats, last = out.stdout.splitlines()
+    result = json.loads(last)
+    assert len(result["cr"]) == 4
+    assert all(decode_record(v).reason is None for v in result["cr"])
+    assert result["audit_exit"] == 0
+    assert len(stats) == 1 and stats[0].startswith('uid="cr" tuples=4 exact=4 differing=0 ')
+    assert not result["special_after_cr"]
+    assert result["pv"] == [encode_record(verify_pv(PvTuple(**pv), 3))]
+    assert result["special_after_pv"]
 
 
 class TestHostileRecords:

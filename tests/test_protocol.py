@@ -384,11 +384,6 @@ class TestRegulatorSession:
         tup = CrTuple(uid="u0", w=0, s_hat=np.eye(3), tau_rg=np.zeros(3), threshold=1.0, rho=0)
         assert sess.verify(tup).rejected
 
-    def test_uid_mismatch_rejected(self):
-        sess = RegulatorSession(self._handshake())
-        tup = CrTuple(uid="other", w=0, s_hat=np.eye(3), tau_rg=np.zeros(3), threshold=1.0, rho=0)
-        assert sess.verify(tup).rejected
-
     @pytest.mark.parametrize(
         "s_hat, tau_rg",
         [
