@@ -33,12 +33,10 @@ from .ekf import (
 from .plant import (
     AttackSpec,
     PlantSpec,
-    PlantState,
     SimulationFault,
     default_spec,
     generate_trace,
     inject_attack,
-    simulate_step,
 )
 from .privacy import (
     Disclosure,

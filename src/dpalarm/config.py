@@ -72,9 +72,6 @@ def reference_params(
     )
 
 
-_PRIVACY_KEYS = ("eps_cov", "eps_r", "gamma_cov", "gamma_r", "delta_l", "delta_r", "p", "sigma")
-
-
 def format_params_text(params: PrivacyParams, scenario: ScenarioConfig) -> str:
     """Render params + scenario as flat key=value lines."""
     lines = []

@@ -87,10 +87,10 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def predict(belief: EkfBelief, u: float, spec: PlantSpec) -> EkfBelief:
-    """Time update: x_pred = g(x, u), P_pred = G P G^T + Q (symmetrized)."""
-    x_pred = transition(belief.x_hat, u, spec)
-    g_jac = jacobian(lambda x: transition(x, u, spec), belief.x_hat)
+def predict(belief: EkfBelief, spec: PlantSpec) -> EkfBelief:
+    """Time update: x_pred = g(x), P_pred = G P G^T + Q (symmetrized)."""
+    x_pred = transition(belief.x_hat, spec)
+    g_jac = jacobian(lambda x: transition(x, spec), belief.x_hat)
     p_pred = _symmetrize(g_jac @ belief.cov @ g_jac.T + spec.process_cov)
     return EkfBelief(x_hat=x_pred, cov=p_pred)
 
@@ -135,14 +135,14 @@ def update(
 def run_filter(
     trace: Sequence[TraceStep], spec: PlantSpec, initial: EkfBelief
 ) -> list[ResidualRecord]:
-    """Run predict/update over a trace at u = 0, as ``generate_trace`` simulates it."""
+    """Run predict/update over a trace, one record per step."""
     if len(trace) == 0:
         raise ValueError("trace must be nonempty")
     belief = initial
     records: list[ResidualRecord] = []
     for step in trace:
         try:
-            pred = predict(belief, 0.0, spec)
+            pred = predict(belief, spec)
             belief, rec = update(pred, step.y, spec, t=step.t)
         except (FilterError, ValueError) as exc:
             raise FilterError(f"filter failed at step t={step.t}: {exc}") from exc

@@ -437,10 +437,6 @@ class ClientSummary:
     epochs: list[tuple[int, int, int, bool]] = field(default_factory=list)  # (w, rho, rho_hat, matched)
     error: str | None = None
 
-    @property
-    def n_matched(self) -> int:
-        return sum(1 for e in self.epochs if e[3])
-
 
 def _connect_with_retry(
     addr: tuple[str, int], delays: tuple[float, ...] = RETRY_DELAYS
@@ -478,6 +474,9 @@ def run_utility_client(
     partial summary with ``completed=False``.
     """
     summary = ClientSummary(uid=uid, completed=False)
+    if scenario.p != params.p:
+        summary.error = f"scenario p={scenario.p} differs from params p={params.p}"
+        return summary
     if csv_source is not None:
         with open(csv_source, "r", encoding="utf-8") as fh:
             records = residuals_from_csv(fh)
@@ -549,7 +548,6 @@ class HarnessConfig:
 @dataclass
 class ExperimentRecord:
     summaries: dict[str, ClientSummary]
-    audit_path: str
     partial: bool
 
 
@@ -590,7 +588,7 @@ def run_harness(config: HarnessConfig, audit_path: str | Path) -> ExperimentReco
     finally:
         server.stop()
     partial = any(not s.completed for s in summaries.values())
-    return ExperimentRecord(summaries=summaries, audit_path=str(audit_path), partial=partial)
+    return ExperimentRecord(summaries=summaries, partial=partial)
 
 
 def replay_audit(audit_path: str | Path) -> list[tuple[str, str]]:

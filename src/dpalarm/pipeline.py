@@ -112,7 +112,14 @@ def run_pipeline(
     utility_index: int = 0,
     uid: str = "u0",
 ) -> tuple[list[PipelineEpoch], UtilitySession]:
-    """Full loopback run of one utility against an in-process regulator."""
+    """Full loopback run of one utility against an in-process regulator.
+
+    Raises:
+        ValueError: the scenario's p (the local alarm's dof) differs from
+            params.p (the disclosed alarm's).
+    """
+    if scenario.p != params.p:
+        raise ValueError(f"scenario p={scenario.p} differs from params p={params.p}")
     records = residual_stream(scenario, n_epochs * scenario.epoch_len, seed, utility_index)
     aggs = epoch_stream(records, scenario)[:n_epochs]
     sess_rng = np.random.default_rng(derive_seed(seed, utility_index, 1))

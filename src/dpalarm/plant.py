@@ -4,13 +4,12 @@ The fixed plant is a damped pendulum-like system with m = 2 states and d = 3
 sensors (class constants of ``PlantSpec``):
 
     x1' = x1 + dt * x2
-    x2' = x2 + dt * (-a*sin(x1) - b*x2 + u)
+    x2' = x2 + dt * (-a*sin(x1) - b*x2)
     y   = [x1, x2, sin(x1) + 0.5*x2]
 
-Process noise N(0, Q) enters the transition, measurement noise N(0, R_meas)
-the observation. Traces run with u = 0, as does the filter in
-:mod:`dpalarm.ekf`. Attacks modify measurements only (sensor-level false
-data injection); plant state is never touched.
+The plant has no control input. Process noise N(0, Q) enters the transition,
+measurement noise N(0, R_meas) the observation. Attacks modify measurements
+only (sensor-level false data injection); plant state is never touched.
 
 Everything here is a pure function of explicit state plus a seeded rng, so
 independent traces can run in parallel freely.
@@ -27,17 +26,14 @@ import numpy as np
 __all__ = [
     "PlantSpec",
     "AttackSpec",
-    "PlantState",
     "TraceStep",
     "SimulationFault",
     "default_spec",
     "transition",
     "observation",
-    "simulate_step",
     "inject_attack",
     "generate_trace",
     "trace_to_csv",
-    "trace_from_csv",
 ]
 
 ATTACK_KINDS = ("bias", "variance_scale", "replay")
@@ -118,31 +114,19 @@ class AttackSpec:
 
 
 @dataclass(frozen=True)
-class PlantState:
-    t: int
-    x: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("plant state must be finite")
-        object.__setattr__(self, "x", x)
-
-
-@dataclass(frozen=True)
 class TraceStep:
     t: int
     x: np.ndarray
     y: np.ndarray
 
 
-def transition(x: np.ndarray, u: float, spec: PlantSpec) -> np.ndarray:
-    """Noiseless state transition g(x, u)."""
+def transition(x: np.ndarray, spec: PlantSpec) -> np.ndarray:
+    """Noiseless state transition g(x)."""
     x1, x2 = x
     return np.array(
         [
             x1 + spec.dt * x2,
-            x2 + spec.dt * (-spec.a * np.sin(x1) - spec.b * x2 + u),
+            x2 + spec.dt * (-spec.a * np.sin(x1) - spec.b * x2),
         ]
     )
 
@@ -156,35 +140,6 @@ def observation(x: np.ndarray, spec: PlantSpec) -> np.ndarray:
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     lam, vec = np.linalg.eigh(mat)
     return (vec * np.sqrt(np.maximum(lam, 0.0))) @ vec.T
-
-
-def simulate_step(
-    state: PlantState,
-    u: float,
-    spec: PlantSpec,
-    rng: np.random.Generator,
-    q_sqrt: np.ndarray | None = None,
-    r_sqrt: np.ndarray | None = None,
-) -> tuple[PlantState, np.ndarray]:
-    """One plant step: x' = g(x,u) + v, y = h(x') + w.
-
-    ``q_sqrt`` / ``r_sqrt`` are optional precomputed PSD square roots of the
-    noise covariances (an optimization for long traces).
-
-    Raises:
-        SimulationFault: the propagated state is non-finite.
-    """
-    if q_sqrt is None:
-        q_sqrt = _psd_sqrt(spec.process_cov)
-    if r_sqrt is None:
-        r_sqrt = _psd_sqrt(spec.measurement_cov)
-    v = q_sqrt @ rng.standard_normal(spec.m)
-    x_next = transition(state.x, u, spec) + v
-    if not np.all(np.isfinite(x_next)):
-        raise SimulationFault(f"state diverged at step {state.t + 1}: {x_next}")
-    w = r_sqrt @ rng.standard_normal(spec.d)
-    y = observation(x_next, spec) + w
-    return PlantState(t=state.t + 1, x=x_next), y
 
 
 def inject_attack(
@@ -220,29 +175,37 @@ def generate_trace(
     seed: int,
     x0: np.ndarray | None = None,
 ) -> list[TraceStep]:
-    """Simulate n_steps of the plant at u = 0; deterministic given the seed.
+    """Simulate n_steps of the plant; deterministic given the seed.
 
-    The attack is applied post-measurement. Steps are numbered 1..n_steps
-    (step 0 is the initial state, not emitted).
+    Each step is x' = g(x) + v, y = h(x') + w; the attack is applied to y.
+    Steps are numbered 1..n_steps (step 0 is the initial state, not emitted).
+
+    Raises:
+        SimulationFault: the propagated state is non-finite.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     rng = np.random.default_rng(seed)
-    state = PlantState(t=0, x=np.zeros(spec.m) if x0 is None else np.asarray(x0, dtype=float))
+    x = np.zeros(spec.m) if x0 is None else np.asarray(x0, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("initial state must be finite")
     q_sqrt = _psd_sqrt(spec.process_cov)
     r_sqrt = _psd_sqrt(spec.measurement_cov)
-    last_clean = observation(state.x, spec)
+    last_clean = observation(x, spec)
     steps: list[TraceStep] = []
-    for _ in range(n_steps):
-        state, y_clean = simulate_step(state, 0.0, spec, rng, q_sqrt, r_sqrt)
+    for t in range(1, n_steps + 1):
+        x = transition(x, spec) + q_sqrt @ rng.standard_normal(spec.m)
+        if not np.all(np.isfinite(x)):
+            raise SimulationFault(f"state diverged at step {t}: {x}")
+        y_clean = observation(x, spec) + r_sqrt @ rng.standard_normal(spec.d)
         if attack is not None:
-            y = inject_attack(y_clean, attack, state.t, last_clean)
-            if not attack.active(state.t):
+            y = inject_attack(y_clean, attack, t, last_clean)
+            if not attack.active(t):
                 last_clean = y_clean
         else:
             y = y_clean
             last_clean = y_clean
-        steps.append(TraceStep(t=state.t, x=state.x, y=y))
+        steps.append(TraceStep(t=t, x=x, y=y))
     return steps
 
 
@@ -257,25 +220,3 @@ def trace_to_csv(steps: Iterable[TraceStep], fh: io.TextIOBase) -> None:
     for s in steps:
         vals = [str(s.t)] + [format(v, ".17g") for v in s.x] + [format(v, ".17g") for v in s.y]
         fh.write(",".join(vals) + "\n")
-
-
-def trace_from_csv(fh: io.TextIOBase) -> list[TraceStep]:
-    """Read a trace written by trace_to_csv."""
-    header = fh.readline().strip().split(",")
-    if not header or header[0] != "t":
-        raise ValueError(f"bad trace header: {header}")
-    m = sum(1 for c in header if c.startswith("x"))
-    d = sum(1 for c in header if c.startswith("y"))
-    steps = []
-    for lineno, line in enumerate(fh, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 1 + m + d:
-            raise ValueError(f"row {lineno}: expected {1 + m + d} fields, got {len(parts)}")
-        t = int(parts[0])
-        x = np.array([float(v) for v in parts[1 : 1 + m]])
-        y = np.array([float(v) for v in parts[1 + m :]])
-        steps.append(TraceStep(t=t, x=x, y=y))
-    return steps

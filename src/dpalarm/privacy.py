@@ -175,8 +175,8 @@ class PerturbedCovariance:
 
     ``lambdas_raw`` are the pre-clamp noisy eigenvalues in the original
     (descending-by-clean-eigenvalue) order; ``fac`` is the factorization of
-    the reconstructed matrix, re-sorted descending by perturbed eigenvalue so
-    a regulator refactorizing s_hat retains the same leading components.
+    s_hat = V diag(lambdas) V^T, re-sorted descending by perturbed eigenvalue
+    so a regulator refactorizing s_hat retains the same leading components.
     """
 
     s_hat: np.ndarray
@@ -242,7 +242,6 @@ class Disclosure:
     tau_cov_hat: np.ndarray
     tau_res_hat: np.ndarray
     tau_rg: np.ndarray
-    noise: np.ndarray
 
     @property
     def s_hat(self) -> np.ndarray:
@@ -279,9 +278,5 @@ def sequential_disclose(
     vec_p, lam_p = pert.fac.retained()
     tau_rg = r_w + vec_p @ (np.sqrt(lam_p) * e)
     return Disclosure(
-        perturbed=pert,
-        tau_cov_hat=tau_cov_hat,
-        tau_res_hat=tau_res_hat,
-        tau_rg=tau_rg,
-        noise=e,
+        perturbed=pert, tau_cov_hat=tau_cov_hat, tau_res_hat=tau_res_hat, tau_rg=tau_rg
     )

@@ -674,6 +674,8 @@ def decode_record(line: str | bytes) -> Handshake | CrTuple | PvTuple | Verdict:
                 raise ProtocolError(f"handshake.params.{key}: non-finite number")
         if d < 1 or p < 1 or p > d or epoch_len < 1:
             raise ProtocolError(f"handshake: invalid dims d={d} p={p} W={epoch_len}")
+        if p != params.p:
+            raise ProtocolError(f"handshake.p: {p} differs from params.p={params.p}")
         return Handshake(
             uid=_need(obj, "uid", str, "handshake"),
             mode=mode,

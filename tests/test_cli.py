@@ -26,7 +26,7 @@ from dpalarm.config import (
 from dpalarm.bounds import BoundReport
 from dpalarm.ekf import residuals_from_csv
 from dpalarm.pipeline import residual_stream, simulated_stream
-from dpalarm.plant import AttackSpec, trace_from_csv
+from dpalarm.plant import AttackSpec
 from dpalarm.privacy import PrivacyParams
 from conftest import src_env
 
@@ -102,12 +102,12 @@ class TestSimulate:
             assert got.t == want.t
             assert np.array_equal(got.r, want.r) and np.array_equal(got.s, want.s)
         # the trace rows are the steps the residuals came from
-        with open(paths[0], encoding="utf-8") as fh:
-            trace = trace_from_csv(fh)
+        header, rows = read_csv(paths[0])
+        assert header == ["t", "x1", "x2", "y1", "y2", "y3"]
         steps, _ = simulated_stream(sc, 120, seed=3)
-        assert [step.t for step in trace] == [step.t for step in steps] == [rec.t for rec in expected]
-        for got, want in zip(trace, steps):
-            assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+        assert [int(row[0]) for row in rows] == [step.t for step in steps] == [rec.t for rec in expected]
+        for row, want in zip(rows, steps):
+            assert np.array_equal(np.array(row[1:], dtype=float), np.concatenate([want.x, want.y]))
 
 
 class TestSweep:

@@ -19,7 +19,7 @@ from conftest import random_psd
 
 
 def g_jac(x, spec):
-    """Closed-form Jacobian of the plant transition at u = 0."""
+    """Closed-form Jacobian of the plant transition."""
     return np.array([[1.0, spec.dt], [-spec.dt * spec.a * np.cos(x[0]), 1.0 - spec.dt * spec.b]])
 
 
@@ -47,7 +47,7 @@ class TestJacobian:
         spec = default_spec()
         x0 = np.array([-0.7, 1.1])
         analytic = g_jac(x0, spec)
-        got = jacobian(lambda x: transition(x, 0.0, spec), x0)
+        got = jacobian(lambda x: transition(x, spec), x0)
         assert np.max(np.abs(got - analytic)) / np.max(np.abs(analytic)) < 1e-5
 
     def test_nonfinite_named(self):
@@ -63,16 +63,16 @@ class TestPredict:
     def test_covariance_matches_closed_form(self, rng):
         spec = default_spec()
         belief = EkfBelief(np.array([0.4, -0.3]), random_psd(rng, 2, (0.01, 2.0)))
-        out = predict(belief, 0.0, spec)
+        out = predict(belief, spec)
         g = g_jac(belief.x_hat, spec)
-        assert np.array_equal(out.x_hat, transition(belief.x_hat, 0.0, spec))
+        assert np.array_equal(out.x_hat, transition(belief.x_hat, spec))
         assert np.allclose(out.cov, g @ belief.cov @ g.T + spec.process_cov, rtol=1e-8, atol=0)
 
     def test_psd_random_trials(self, rng):
         spec = default_spec()
         for _ in range(1000):
             belief = EkfBelief(rng.normal(size=2), random_psd(rng, 2, (0.01, 2.0)))
-            out = predict(belief, float(rng.normal()), spec)
+            out = predict(belief, spec)
             eig = np.linalg.eigvalsh(out.cov)
             assert eig[0] >= -1e-8 * np.trace(out.cov)
             assert np.allclose(out.cov, out.cov.T)
@@ -125,7 +125,7 @@ class TestRunFilter:
         x, p = np.zeros(2), 1e-3 * np.eye(2)
         for step, rec in zip(trace, records):
             g = g_jac(x, spec)
-            x, p = transition(x, 0.0, spec), g @ p @ g.T + spec.process_cov
+            x, p = transition(x, spec), g @ p @ g.T + spec.process_cov
             h = h_jac(x)
             r = step.y - observation(x, spec)
             s = h @ p @ h.T + spec.measurement_cov

@@ -116,6 +116,15 @@ class TestLoopback:
         assert "dimension" in summary.error
         assert summary.epochs == []
 
+    def test_p_mismatch_aborts(self, server):
+        summary = run_utility_client(
+            server.address, quiet_params(p=2), default_scenario(), "cr", seed=1,
+            n_epochs=3, retry_delays=(0.05,),
+        )
+        assert not summary.completed
+        assert summary.error == "scenario p=3 differs from params p=2"
+        assert summary.epochs == []
+
     def test_csv_source_matches_sim(self, server, tmp_path):
         # exporting the sim records and replaying them through the CSV path
         # yields the identical epoch/alarm stream

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from dpalarm import protocol
-from dpalarm.config import default_scenario
+from dpalarm.config import default_scenario, reference_params
 from dpalarm.pipeline import epoch_stream, residual_stream, run_pipeline
 from dpalarm.privacy import PrivacyParams
 
@@ -40,6 +41,11 @@ class TestRunPipeline:
         assert [(e.rho, e.rho_hat, e.result.t_res_scaled) for e in a] == [
             (e.rho, e.rho_hat, e.result.t_res_scaled) for e in b
         ]
+
+    def test_scenario_p_must_match_params_p(self):
+        # the local alarm tests at scenario.p dof, the disclosed one at params.p
+        with pytest.raises(ValueError, match="scenario p=3 differs from params p=2"):
+            run_pipeline(default_scenario(), reference_params(p=2), 5, seed=1, mode="cr")
 
     def test_equivalent_alpha_magnitude_band(self):
         # at residual-scale noise and a 0.01-class target, the steady-state

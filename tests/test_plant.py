@@ -5,12 +5,10 @@ import pytest
 
 from dpalarm.plant import (
     AttackSpec,
-    PlantState,
+    SimulationFault,
     default_spec,
     generate_trace,
     inject_attack,
-    simulate_step,
-    trace_from_csv,
     trace_to_csv,
 )
 
@@ -22,24 +20,26 @@ def zero_noise_spec(**kw):
 
 
 class TestSimulateStep:
-    def test_origin_fixed_point(self, rng):
-        spec = zero_noise_spec()
-        state, y = simulate_step(PlantState(0, np.zeros(2)), 0.0, spec, rng)
-        assert np.allclose(state.x, 0.0)
-        assert np.allclose(y, 0.0)
+    def test_origin_fixed_point(self):
+        (step,) = generate_trace(zero_noise_spec(), None, 1, seed=0, x0=np.zeros(2))
+        assert step.t == 1
+        assert np.allclose(step.x, 0.0)
+        assert np.allclose(step.y, 0.0)
 
-    def test_pendulum_step(self, rng):
+    def test_pendulum_step(self):
         spec = zero_noise_spec(dt=0.1, a=1.0, b=0.5)
-        state, _ = simulate_step(PlantState(0, np.array([np.pi / 2, 0.0])), 0.0, spec, rng)
-        assert np.allclose(state.x, [np.pi / 2, -0.1])
+        (step,) = generate_trace(spec, None, 1, seed=0, x0=np.array([np.pi / 2, 0.0]))
+        assert np.allclose(step.x, [np.pi / 2, -0.1])
 
-    def test_divergence_fault(self, rng):
-        from dpalarm.plant import SimulationFault
+    def test_divergence_fault(self):
+        # x1' = x1 + dt * x2 overflows to inf
+        x0 = np.array([1.7e308, 1.7e308])
+        with np.errstate(over="ignore"), pytest.raises(SimulationFault, match="diverged at step 1"):
+            generate_trace(zero_noise_spec(), None, 1, seed=0, x0=x0)
 
-        spec = zero_noise_spec()
-        state = PlantState(0, np.array([0.0, 1.0]))
-        with pytest.raises(SimulationFault, match="diverged"):
-            simulate_step(state, float("inf"), spec, rng)
+    def test_nonfinite_initial_state_rejected(self):
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            generate_trace(zero_noise_spec(), None, 1, seed=0, x0=np.array([np.nan, 0.0]))
 
     def test_stationary_mean(self):
         # oracle: std of the trace-mean of y across 40 seeds is
@@ -117,18 +117,6 @@ class TestGenerateTrace:
 
 
 class TestTraceCsv:
-    def test_roundtrip(self):
-        trace = generate_trace(default_spec(), None, 25, seed=9)
-        buf = io.StringIO()
-        trace_to_csv(trace, buf)
-        buf.seek(0)
-        back = trace_from_csv(buf)
-        assert len(back) == len(trace)
-        for a, b in zip(trace, back):
-            assert a.t == b.t
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.y, b.y)
-
     def test_header(self):
         trace = generate_trace(default_spec(), None, 2, seed=9)
         buf = io.StringIO()

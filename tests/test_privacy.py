@@ -223,11 +223,6 @@ class TestSequentialDisclose:
                 disc.t_res_hat, 1.0
             )
 
-    def test_noise_vector_returned(self, rng):
-        s = random_psd(rng, 3, (1.0, 4.0))
-        disc = sequential_disclose(np.zeros(3), s, self._params(), rng)
-        assert np.allclose(disc.tau_res_hat - disc.tau_cov_hat, disc.noise)
-
     def test_nonfinite_residual_rejected(self, rng):
         s = np.eye(3)
         with pytest.raises(ValueError, match="finite"):

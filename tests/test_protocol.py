@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,19 @@ class TestRegulatorCr:
         v = verify_cr(tup, p=3)
         assert v.rejected
         assert "malformed" in v.reason
+
+    @pytest.mark.parametrize("low", [1.7e308, -1.7e308])
+    def test_overflowing_covariance_rejected_without_warning(self, low):
+        # symmetrising overflows to inf: the row's typed rejection is all it gets
+        big = 1.7e308
+        s_hat = np.array([[1.0, 2.0, big], [2.0, 1.0, 3.0], [low, 3.0, 1.0]])
+        good = CrTuple("u", 1, np.eye(3), np.ones(3), 5.0, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdicts = verify_cr_stack([CrTuple("u", 0, s_hat, np.ones(3), 5.0, 0), good], 3)
+            assert verdicts[1] == verify_cr(good, 3) and verdicts[1].reason is None
+        reason = "Eigenvalues did not converge" if low > 0 else "matrix not symmetric"
+        assert verdicts[0].rejected and reason in verdicts[0].reason
 
 
 CR_ROW_KINDS = (
@@ -609,6 +623,14 @@ class TestDecoderHardening:
             decode_record(json.dumps(obj))
         with pytest.raises(ProtocolError, match=r"handshake\.params\.eps_r: non-finite"):
             decode_record(line.replace('"eps_r":0.5', '"eps_r":"inf"'))
+
+    def test_handshake_p_must_match_params_p(self):
+        line = self._handshake_line()
+        assert '"d":3,"p":3,' in line and '"p":3,"sigma"' in line
+        with pytest.raises(ProtocolError, match=r"handshake\.p: 1 differs from params\.p=3"):
+            decode_record(line.replace('"d":3,"p":3,', '"d":3,"p":1,'))
+        with pytest.raises(ProtocolError, match=r"handshake\.p: 3 differs from params\.p=2"):
+            decode_record(line.replace('"p":3,"sigma"', '"p":2,"sigma"'))
 
     def test_deep_nesting(self):
         for line in ("[" * 5000, '{"v":1,"mode":"cr","s_hat":' + "[" * 5000):

@@ -133,7 +133,7 @@ tuples = st.one_of(
 def handshakes(draw):
     """A decodable handshake of either mode with any dimensions, huge ones too."""
     rec = json.loads(json.dumps(draw(st.sampled_from(BASES[:2]))))
-    rec["p"] = draw(st.integers(1, 4) | st.integers(1, 10**400))
+    rec["p"] = rec["params"]["p"] = draw(st.integers(1, 4) | st.integers(1, 10**400))
     rec["d"] = rec["p"] + draw(st.integers(0, 2))
     return decode_record(json.dumps(rec))
 
