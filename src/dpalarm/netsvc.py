@@ -41,6 +41,7 @@ from .protocol import (
     decode_record,
     encode_record,
     verify_cr_stack,
+    verify_pv,
 )
 
 logger = logging.getLogger(__name__)
@@ -138,8 +139,10 @@ class RegulatorServer:
     and answered before the loop takes the next, and no call waits on a
     single client: a session with unsent verdicts is not read until its peer
     takes them. A uid has at most one open session: a handshake under a uid
-    in use is refused, so each (uid, w) is verified at most once. The loop is
-    the only writer of the audit log.
+    in use is refused, so within one connection each (uid, w) is verified at
+    most once. A later connection under the same uid opens a new session
+    with its own duplicate tracking, which verifies the same (uid, w) again.
+    The loop is the only writer of the audit log.
     """
 
     def __init__(self, listen_addr: tuple[str, int], config: RegulatorConfig):
@@ -599,15 +602,17 @@ def replay_audit(audit_path: str | Path) -> list[tuple[str, str]]:
     atomically, so pairing is positional. A faithful log replays byte-exactly;
     such a pair holds the one string twice.
 
-    The log is read in chunks of ``REPLAY_CHUNK`` tuples. A CR tuple's
-    numbers do not depend on session state, so each chunk verifies its CR
+    The log is read in chunks of ``REPLAY_CHUNK`` tuples. Whether a tuple
+    fits its session (``RegulatorSession.mismatch_reason``) and a CR
+    tuple's numbers do not depend on session state, so each tuple's fit is
+    checked once as it is read, and each chunk verifies its fitting CR
     tuples in one ``verify_cr_stack`` call per session; admission and
     duplicate tracking then run in log order, in ``RegulatorSession.verify``.
     """
     sessions: dict[str, RegulatorSession] = {}
     pairs: list[tuple[str, str]] = []
     pending: str | None = None  # replayed verdict awaiting its logged TX line
-    chunk: list = []  # TX records and [session, tuple, verify_cr verdict] items, in log order
+    chunk: list = []  # TX records and [session, tuple, verdict once admitted] items, in log order
     stacks: dict[RegulatorSession, list] = {}  # the chunk's items that reach verify_cr
     n_tuples = 0
     with open(audit_path, "r", encoding="utf-8", newline="\n") as fh:
@@ -634,10 +639,15 @@ def replay_audit(audit_path: str | Path) -> list[tuple[str, str]]:
                 session = sessions.get(obj.uid)
                 if session is None:
                     raise ProtocolError(f"tuple for unknown session {obj.uid!r}")
-                item = [session, obj, None]
-                chunk.append(item)
-                if isinstance(obj, CrTuple) and session.mismatch_reason(obj) is None:
+                reason = session.mismatch_reason(obj)
+                if reason is not None:
+                    item = [session, obj, Verdict.rejection(obj, reason)]
+                elif isinstance(obj, CrTuple):
+                    item = [session, obj, None]
                     stacks.setdefault(session, []).append(item)
+                else:
+                    item = [session, obj, verify_pv(obj, session.handshake.p)]
+                chunk.append(item)
                 n_tuples += 1
                 if n_tuples % REPLAY_CHUNK == 0:
                     pending = _replay_chunk(chunk, stacks, pairs, pending)
@@ -659,6 +669,6 @@ def _replay_chunk(chunk: list, stacks: dict, pairs: list[tuple[str, str]], pendi
                 pairs.append((item, item) if pending == item else (item, pending))
                 pending = None
         else:
-            session, tup, cr_verdict = item
-            pending = encode_record(session.verify(tup, cr_verdict))
+            session, tup, verdict = item
+            pending = encode_record(session.verify(tup, verdict))
     return pending

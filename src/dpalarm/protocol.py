@@ -149,6 +149,11 @@ class Verdict:
     def rejected(self) -> bool:
         return self.reason is not None
 
+    @classmethod
+    def rejection(cls, tup: CrTuple | PvTuple, reason: str) -> Verdict:
+        """The verdict that rejects ``tup`` for ``reason``."""
+        return cls(uid=tup.uid, w=tup.w, rho_hat=0, matched=False, reason=reason)
+
 
 @dataclass(frozen=True)
 class Handshake:
@@ -339,19 +344,12 @@ def verify_cr_stack(tuples: Sequence[CrTuple], p: int) -> list[Verdict]:
     verdicts = []
     for tup, t_res_hat in zip(tuples, energies):
         if isinstance(t_res_hat, ValueError):
-            verdict = Verdict(
-                uid=tup.uid, w=tup.w, rho_hat=0, matched=False,
-                reason=f"malformed disclosure: {t_res_hat}",
-            )
+            verdict = Verdict.rejection(tup, f"malformed disclosure: {t_res_hat}")
         else:
             rho_hat = int(t_res_hat > tup.threshold)
+            # all fields by position: keywords cost a third more per verdict
             verdict = Verdict(
-                uid=tup.uid,
-                w=tup.w,
-                rho_hat=rho_hat,
-                matched=(rho_hat == tup.rho),
-                t_res_hat=t_res_hat,
-                threshold=tup.threshold,
+                tup.uid, tup.w, rho_hat, rho_hat == tup.rho, None, None, t_res_hat, tup.threshold
             )
         verdicts.append(verdict)
     return verdicts
@@ -370,24 +368,14 @@ def verify_pv(tup: PvTuple, p: int) -> Verdict:
     yields a typed rejection verdict rather than an exception.
     """
     if not 0.0 < tup.alpha_hat < 1.0:
-        return Verdict(
-            uid=tup.uid,
-            w=tup.w,
-            rho_hat=0,
-            matched=False,
-            reason=f"alpha_hat out of range: {tup.alpha_hat}",
-        )
+        return Verdict.rejection(tup, f"alpha_hat out of range: {tup.alpha_hat}")
     if tup.t_res < 0.0 or tup.t_cov < 0.0:
-        return Verdict(
-            uid=tup.uid, w=tup.w, rho_hat=0, matched=False, reason="negative statistic"
-        )
+        return Verdict.rejection(tup, "negative statistic")
     try:
         threshold = noncentral_chi2_quantile(tup.alpha_hat, p, tup.t_cov)
         pvalue = 1.0 - noncentral_chi2_cdf(tup.t_res, p, tup.t_cov)
     except (ValueError, OverflowError) as exc:  # law outside the ufuncs' range
-        return Verdict(
-            uid=tup.uid, w=tup.w, rho_hat=0, matched=False, reason=f"malformed disclosure: {exc}"
-        )
+        return Verdict.rejection(tup, f"malformed disclosure: {exc}")
     rho_hat = int(tup.t_res > threshold)
     return Verdict(
         uid=tup.uid,
@@ -462,28 +450,31 @@ class RegulatorSession:
             return None if hs.mode == "pv" else "mode mismatch"
         return "unknown tuple type"
 
-    def verify(self, tup: CrTuple | PvTuple, cr_verdict: Verdict | None = None) -> Verdict:
+    def verify(self, tup: CrTuple | PvTuple, verdict: Verdict | None = None) -> Verdict:
         """Admit a tuple and verify it, or reject it.
 
         The tuple's uid must be the handshake's: the caller files each tuple
         under its own uid's session (a regulator rejects a foreign uid before
-        this point). ``cr_verdict`` is ``verify_cr(tup, handshake.p)`` when the
-        caller has it already, as a replay that verifies a batch in one stack
-        does; it is used only for a CR tuple that is admitted.
+        this point). ``verdict`` is the one the tuple gets once past the
+        duplicate and backlog checks, when the caller has it already: the
+        ``mismatch_reason`` rejection, else ``verify_cr``/``verify_pv`` at the
+        handshake's p. A replay that checks each tuple's fit once and verifies
+        a batch of CR tuples in one stack passes it.
         """
         self.tuples_received += 1
         if self._seen(tup.w):
             reason = "duplicate epoch index"
         elif self._backlog_full(tup.w):
             reason = f"out-of-order backlog full: {MAX_OUT_OF_ORDER} epochs"
+        elif verdict is not None:
+            reason = None
         else:
             reason = self.mismatch_reason(tup)
         if reason is not None:
-            verdict = Verdict(uid=tup.uid, w=tup.w, rho_hat=0, matched=False, reason=reason)
-        elif isinstance(tup, CrTuple):
-            verdict = verify_cr(tup, self.handshake.p) if cr_verdict is None else cr_verdict
-        else:
-            verdict = verify_pv(tup, self.handshake.p)
+            verdict = Verdict.rejection(tup, reason)
+        elif verdict is None:
+            p = self.handshake.p
+            verdict = verify_cr(tup, p) if isinstance(tup, CrTuple) else verify_pv(tup, p)
         if verdict.reason is None:
             self._mark_seen(tup.w)
         self.verdicts_sent += 1
@@ -576,6 +567,20 @@ def _reject_constant(name: str):
 
 # One decoder for every line: ``json.loads`` with a keyword builds a new one per call.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_JUST_FLOAT = {float}
+
+
+def _parse_json(line: str):
+    """``_DECODER.decode(line)``. A line that is one JSON value from its first
+    character to its last, as every encoded record is, skips decode's two
+    whitespace scans; any other line, error or not, goes through decode."""
+    try:
+        obj, end = _DECODER.scan_once(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return _DECODER.decode(line)
 
 
 def _need(obj: dict, key: str, kind, path: str):
@@ -620,7 +625,10 @@ def decode_record(line: str | bytes) -> Handshake | CrTuple | PvTuple | Verdict:
     """Parse one wire line into a typed record.
 
     Only ProtocolError leaves this function, whatever the line holds, and a
-    decoded record always re-encodes.
+    decoded record always re-encodes. A tuple or verdict whose fields all
+    have their exact types is checked in one pass; any other record, and
+    every handshake, goes field by field through ``_need``, which words
+    every error.
 
     Raises:
         ProtocolError: truncated/malformed JSON (including nesting too deep
@@ -636,11 +644,69 @@ def decode_record(line: str | bytes) -> Handshake | CrTuple | PvTuple | Verdict:
     try:
         if line.startswith("\ufeff"):  # refused as json.loads refuses it
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-        obj = _DECODER.decode(line)
+        obj = _parse_json(line)
     except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"malformed record: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(f"record must be an object, got {type(obj).__name__}")
+    rec = _exact_record(obj)
+    return _checked_record(obj) if rec is None else rec
+
+
+def _exact_record(obj: dict) -> CrTuple | PvTuple | Verdict | None:
+    """The tuple or verdict in ``obj`` when every field it reads has its exact
+    type, in one pass: floats finite, no bools for ints, no ints for floats.
+
+    None sends the record to ``_checked_record``, which words the error or
+    converts the odd value (an integer literal in a float field, say), so a
+    record decodes the same on either path. Handshakes take that path too.
+    """
+    get = obj.get
+    v, uid, w = get("v"), get("uid"), get("w")
+    if type(v) is not int or v != PROTOCOL_VERSION or type(uid) is not str or type(w) is not int:
+        return None
+    if "rho_hat" in obj:  # verdict
+        rho_hat, matched, pvalue, reason = get("rho_hat"), get("matched"), get("pvalue"), get("reason")
+        if (
+            type(rho_hat) is int
+            and type(matched) is int
+            and (type(pvalue) is float and math.isfinite(pvalue) or pvalue is None and "pvalue" not in obj)
+            and (type(reason) is str or reason is None and "reason" not in obj)
+        ):
+            return Verdict(uid, w, rho_hat, bool(matched), pvalue, reason)
+        return None
+    mode, rho = get("mode"), get("rho")
+    if type(rho) is not int or "params" in obj:
+        return None
+    if mode == "cr":
+        s_flat, tau_rg, thr = get("s_hat"), get("tau_rg"), get("thr")
+        if type(s_flat) is not list or type(tau_rg) is not list or type(thr) is not float:
+            return None
+        d = math.isqrt(len(s_flat))
+        # a sum of floats is finite only if every term is (one that overflows
+        # takes the checked path, which accepts it)
+        if (
+            d
+            and d * d == len(s_flat)
+            and len(tau_rg) == d
+            and {*map(type, s_flat), *map(type, tau_rg)} == _JUST_FLOAT
+            and math.isfinite(sum(s_flat, sum(tau_rg, thr)))
+        ):
+            return CrTuple(uid, w, np.array(s_flat).reshape(d, d), np.array(tau_rg), thr, rho)
+    elif mode == "pv":
+        t_res, t_cov, alpha_hat = get("t_res"), get("t_cov"), get("alpha_hat")
+        if (
+            type(t_res) is float
+            and type(t_cov) is float
+            and type(alpha_hat) is float
+            and math.isfinite(t_res + t_cov + alpha_hat)
+        ):
+            return PvTuple(uid, w, t_res, t_cov, alpha_hat, rho)
+    return None
+
+
+def _checked_record(obj: dict) -> Handshake | CrTuple | PvTuple | Verdict:
+    """``obj`` as a record, each field through ``_need``, or its ProtocolError."""
     v = _need(obj, "v", int, "record")
     if v != PROTOCOL_VERSION:
         raise ProtocolError(f"record.v: unsupported version {v}")

@@ -220,6 +220,7 @@ def whitened_energies(s: np.ndarray, r: np.ndarray, count: int) -> list[float | 
 
     good = []
     lam_rows = lam.tolist()
+    count_ok, r_ok = 1 <= p <= d, r.shape[1:] == (d,)
     for i, ascending in enumerate(lam_rows):
         if out[i] is not None:
             continue
@@ -233,12 +234,17 @@ def whitened_energies(s: np.ndarray, r: np.ndarray, count: int) -> list[float | 
                     f"below tolerance for trace {trace:.3e}"
                 )
                 continue
-        if not 1 <= p <= d:
+        if not count_ok:
             out[i] = ValueError(f"count must be in [1, {d}], got {count}")
-        elif r.shape[1:] != (d,):
+        # NaN or +inf (eigh of an overflowed matrix); -inf is clamped to 0 as
+        # any negative eigenvalue is, so only these are not finite once clamped
+        elif not all(map(math.inf.__gt__, ascending)):
+            out[i] = ValueError("eigenvalues not all finite")
+        elif not r_ok:
             out[i] = ValueError(f"residual length {r.shape[1:]} does not match d={d}")
-        # the clamp at 0 leaves the test as is: x <= 0 exactly when max(x, 0) <= 0
-        elif any(x <= 0.0 for x in ascending[d - p :]):
+        # the smallest retained eigenvalue, as the row is ascending and free of
+        # NaN; the clamp at 0 leaves the test as is: x <= 0 exactly when max(x, 0) <= 0
+        elif ascending[d - p] <= 0.0:
             out[i] = ValueError(
                 "retained eigenvalue <= 0; clamp eigenvalues upstream before whitening"
             )
@@ -247,14 +253,18 @@ def whitened_energies(s: np.ndarray, r: np.ndarray, count: int) -> list[float | 
     if good:
         if len(good) < n:
             vec, r = vec[good], r[good]
-        proj = (vec[:, :, d - p :].transpose(0, 2, 1) @ r[:, :, None]).reshape(len(good), p)
-        # descending, as whiten returns it; IEEE division and square root are
-        # correctly rounded, so floats give numpy's bits
-        tau = np.array([
-            [x / math.sqrt(lam) for x, lam in zip(reversed(row), reversed(lam_rows[i][d - p :]))]
-            for i, row in zip(good, proj.tolist())
-        ])
-        for i, energy in zip(good, (tau[:, None, :] @ tau[:, :, None]).ravel().tolist()):
+        # a residual near the float maximum overflows to an energy of inf,
+        # silently: the verdict carries it
+        with np.errstate(over="ignore"):
+            proj = (vec[:, :, d - p :].transpose(0, 2, 1) @ r[:, :, None]).reshape(len(good), p)
+            # descending, as whiten returns it; IEEE division and square root
+            # are correctly rounded, so floats give numpy's bits
+            tau = np.array([
+                [x / math.sqrt(lam) for x, lam in zip(reversed(row), reversed(lam_rows[i][d - p :]))]
+                for i, row in zip(good, proj.tolist())
+            ])
+            energies = (tau[:, None, :] @ tau[:, :, None]).ravel().tolist()
+        for i, energy in zip(good, energies):
             out[i] = energy
     return out
 

@@ -8,6 +8,7 @@ import pytest
 
 from dpalarm.bounds import ALPHA_RTOL
 from dpalarm.config import default_scenario, reference_params
+from dpalarm.privacy import PrivacyParams
 from dpalarm.protocol import (
     PROTOCOL_VERSION,
     CrTuple,
@@ -163,10 +164,14 @@ def reference_verify_cr(tup, p):
     """Reference ``protocol.verify_cr``: one tuple through the reference kernels.
 
     ``reference_eig_factorize`` then ``reference_whiten``, each ValueError a
-    rejection verdict, as verification ran before tuples were stacked.
+    rejection verdict, as verification ran before tuples were stacked. Between
+    them, eigenvalues that are not all finite (NaN from an overflowed matrix)
+    are rejected: ``eig_factorize`` passes NaN through, a verdict must not.
     """
     try:
         fac = reference_eig_factorize(tup.s_hat, count=p)
+        if not np.isfinite(fac.lambdas).all():
+            raise ValueError("eigenvalues not all finite")
         tau_res = reference_whiten(tup.tau_rg, fac)
     except ValueError as exc:
         return Verdict(
@@ -261,3 +266,147 @@ def reference_encode_record(obj):
             fields["reason"] = obj.reason
         return _emit_record(fields)
     raise ProtocolError(f"cannot encode {type(obj).__name__}")
+
+
+def _reject_constant(name: str):
+    raise ProtocolError(f"non-finite constant on the wire: {name}")
+
+
+# One decoder for every line: ``json.loads`` with a keyword builds a new one per call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _need(obj: dict, key: str, kind, path: str):
+    if key not in obj:
+        raise ProtocolError(f"{path}.{key}: missing field")
+    val = obj[key]
+    if kind is float:
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ProtocolError(f"{path}.{key}: expected number, got {type(val).__name__}")
+        try:
+            val = float(val)
+        except OverflowError:  # an integer literal beyond float range
+            raise ProtocolError(f"{path}.{key}: number out of float range") from None
+        if not math.isfinite(val):
+            raise ProtocolError(f"{path}.{key}: non-finite number")
+        return val
+    if kind is int:
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ProtocolError(f"{path}.{key}: expected integer, got {type(val).__name__}")
+        return int(val)
+    if kind is str:
+        if not isinstance(val, str):
+            raise ProtocolError(f"{path}.{key}: expected string, got {type(val).__name__}")
+        return val
+    if kind is list:
+        if not isinstance(val, list):
+            raise ProtocolError(f"{path}.{key}: expected array, got {type(val).__name__}")
+        out = []
+        for i, x in enumerate(val):
+            try:
+                ok = not isinstance(x, bool) and isinstance(x, (int, float)) and math.isfinite(x)
+            except OverflowError:  # an integer literal beyond float range
+                ok = False
+            if not ok:
+                raise ProtocolError(f"{path}.{key}[{i}]: expected finite number")
+            out.append(float(x))
+        return out
+    raise AssertionError(kind)
+
+
+def reference_decode_record(line: str | bytes) -> Handshake | CrTuple | PvTuple | Verdict:
+    """Reference ``protocol.decode_record``: every field through ``_need``.
+
+    The decoder as it was before its one-pass fast path, kept verbatim (with
+    ``_need``) so the fast path can be checked record for record and message
+    for message.
+
+    Only ProtocolError leaves this function, whatever the line holds, and a
+    decoded record always re-encodes.
+
+    Raises:
+        ProtocolError: truncated/malformed JSON (including nesting too deep
+            to parse and integer literals too long to convert), bad version,
+            schema violation, or numbers that are non-finite or beyond float
+            range — with the offending field path.
+    """
+    if isinstance(line, bytes):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"invalid utf-8: {exc}") from exc
+    try:
+        if line.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        obj = _DECODER.decode(line)
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"malformed record: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ProtocolError(f"record must be an object, got {type(obj).__name__}")
+    v = _need(obj, "v", int, "record")
+    if v != PROTOCOL_VERSION:
+        raise ProtocolError(f"record.v: unsupported version {v}")
+
+    if "rho_hat" in obj:  # verdict
+        return Verdict(
+            uid=_need(obj, "uid", str, "verdict"),
+            w=_need(obj, "w", int, "verdict"),
+            rho_hat=_need(obj, "rho_hat", int, "verdict"),
+            matched=bool(_need(obj, "matched", int, "verdict")),
+            pvalue=_need(obj, "pvalue", float, "verdict") if "pvalue" in obj else None,
+            reason=_need(obj, "reason", str, "verdict") if "reason" in obj else None,
+        )
+    mode = _need(obj, "mode", str, "record")
+    if mode not in ("cr", "pv"):
+        raise ProtocolError(f"record.mode: unknown mode {mode!r}")
+    if "params" in obj:  # handshake
+        d = _need(obj, "d", int, "handshake")
+        p = _need(obj, "p", int, "handshake")
+        epoch_len = _need(obj, "W", int, "handshake")
+        raw = obj["params"]
+        if not isinstance(raw, dict):
+            raise ProtocolError("handshake.params: expected object")
+        try:
+            params = PrivacyParams.from_flat(raw)
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            raise ProtocolError(f"handshake.params: {exc}") from exc
+        for key, val in params.to_flat().items():
+            # e.g. "sigma": "nan", or a sigma_min that overflows
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ProtocolError(f"handshake.params.{key}: non-finite number")
+        if d < 1 or p < 1 or p > d or epoch_len < 1:
+            raise ProtocolError(f"handshake: invalid dims d={d} p={p} W={epoch_len}")
+        if p != params.p:
+            raise ProtocolError(f"handshake.p: {p} differs from params.p={params.p}")
+        return Handshake(
+            uid=_need(obj, "uid", str, "handshake"),
+            mode=mode,
+            d=d,
+            p=p,
+            epoch_len=epoch_len,
+            params=params,
+        )
+    if mode == "cr":
+        s_flat = _need(obj, "s_hat", list, "cr")
+        d = math.isqrt(len(s_flat))
+        if d * d != len(s_flat) or d < 1:
+            raise ProtocolError(f"cr.s_hat: length {len(s_flat)} is not a square")
+        tau_rg = _need(obj, "tau_rg", list, "cr")
+        if len(tau_rg) != d:
+            raise ProtocolError(f"cr.tau_rg: length {len(tau_rg)} != d={d}")
+        return CrTuple(
+            uid=_need(obj, "uid", str, "cr"),
+            w=_need(obj, "w", int, "cr"),
+            s_hat=np.array(s_flat).reshape(d, d),
+            tau_rg=np.array(tau_rg),
+            threshold=_need(obj, "thr", float, "cr"),
+            rho=_need(obj, "rho", int, "cr"),
+        )
+    return PvTuple(
+        uid=_need(obj, "uid", str, "pv"),
+        w=_need(obj, "w", int, "pv"),
+        t_res=_need(obj, "t_res", float, "pv"),
+        t_cov=_need(obj, "t_cov", float, "pv"),
+        alpha_hat=_need(obj, "alpha_hat", float, "pv"),
+        rho=_need(obj, "rho", int, "pv"),
+    )

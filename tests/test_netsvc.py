@@ -5,6 +5,7 @@ import socket
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from dpalarm.protocol import (
     Handshake,
     ProtocolError,
     PvTuple,
+    RegulatorSession,
     Verdict,
     decode_record,
     encode_record,
@@ -458,6 +460,41 @@ class TestHostileRecords:
         assert audit[-1].split(" ", 2)[1] == "TX" and str(MAX_RECORD_BYTES) in audit[-1]
         assert replay_audit(server.config.audit_path) == [(audit[-2].split(" ", 2)[2],) * 2]
 
+    def test_overflowing_disclosures_answered_without_warning(self, server):
+        big = 1.7e308
+        client = _Client(server, "ov")
+        try:
+            # symmetrised, the diagonal is inf and eigh answers NaN eigenvalues
+            nan_eig = client.send(encode_record(CrTuple("ov", 0, np.diag([big] * 3), np.ones(3), 5.0, 0)))
+            # the energy overflows: inf is the statistic
+            inf_energy = client.send(
+                encode_record(CrTuple("ov", 1, np.eye(3), np.array([big, -big, big]), 5.0, 1))
+            )
+        finally:
+            client.close()
+        TestSessionLimit._wait_for(lambda: server.active_sessions == 0)
+        assert nan_eig.reason == "malformed disclosure: eigenvalues not all finite"
+        assert inf_energy.reason is None and (inf_energy.rho_hat, inf_energy.matched) == (1, True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _replays_exactly(server.config.audit_path, 2)
+
+    def test_verdict_on_non_finite_eigenvalues_from_older_log_differs(self, tmp_path, capsys):
+        # a regulator that let NaN eigenvalues through answered with an
+        # ordinary verdict; replay now rejects the tuple
+        from dpalarm import cli
+
+        hs = Handshake(uid="a", mode="cr", d=3, p=3, epoch_len=10, params=quiet_params())
+        tup = CrTuple("a", 0, np.diag([1.7e308] * 3), np.ones(3), 5.0, 0)
+        old = encode_record(Verdict(uid="a", w=0, rho_hat=0, matched=True))
+        audit = tmp_path / "older.log"
+        audit.write_text(f"t RX {encode_record(hs)}\nt RX {encode_record(tup)}\nt TX {old}\n")
+        ((logged, replayed),) = replay_audit(audit)
+        assert logged == old
+        assert decode_record(replayed).reason == "malformed disclosure: eigenvalues not all finite"
+        assert cli.main(["audit-stats", str(audit)]) == 1
+        assert 'uid="a" tuples=1 exact=0 differing=1' in capsys.readouterr().out
+
 
 class TestSessionLimit:
     """Connections over ``MAX_SESSIONS`` are refused; ended sessions free a slot."""
@@ -754,6 +791,39 @@ class TestReplayChunks:
 
         monkeypatch.setattr(netsvc, "REPLAY_CHUNK", chunk)
         pairs = _replays_exactly(server.config.audit_path, len(live) - 1)
+        assert [decode_record(logged) for logged, _ in pairs] == [v for v in live if v.w != -1]
+
+    @pytest.mark.parametrize("chunk", [1, 1024])
+    def test_each_tuple_fit_checked_once(self, server, monkeypatch, chunk):
+        rng = np.random.default_rng(7)
+        pv = PvTuple(uid="b", w=0, t_res=4.0, t_cov=1.0, alpha_hat=0.05, rho=1)
+        a, b = _Client(server, "a"), _Client(server, "b", mode="pv")
+        try:
+            live = [a.send(_cr("a", w, rng)) for w in (0, 2, 1, 1)]  # out of order, duplicate
+            live.append(a.send(_cr("a", 3, rng, d=2)))  # dimension mismatch
+            live.append(a.send(encode_record(dataclasses.replace(pv, uid="a", w=3))))  # mode mismatch
+            live.append(b.send(_cr("b", 0, rng)))  # mode mismatch
+            live.append(a.send(b"not json"))  # undecodable: no pair
+            for w in (0, 0, 2, 1):  # duplicate, out of order
+                live.append(b.send(encode_record(dataclasses.replace(pv, w=w))))
+            live.append(a.send(_cr("a", 3, rng)))
+        finally:
+            a.close()
+            b.close()
+        TestSessionLimit._wait_for(lambda: server.active_sessions == 0)
+        reasons = [v.reason for v in live]
+        assert reasons.count("duplicate epoch index") == 2
+        assert reasons.count("mode mismatch") == 2
+        assert sum(r is not None and r.startswith("dimension mismatch") for r in reasons) == 1
+        assert sum(r is None for r in reasons) == 7
+
+        calls = []
+        fit = RegulatorSession.mismatch_reason
+        monkeypatch.setattr(RegulatorSession, "mismatch_reason",
+                            lambda self, tup: calls.append(tup.w) or fit(self, tup))
+        monkeypatch.setattr(netsvc, "REPLAY_CHUNK", chunk)
+        pairs = _replays_exactly(server.config.audit_path, len(live) - 1)
+        assert len(calls) == len(pairs)
         assert [decode_record(logged) for logged, _ in pairs] == [v for v in live if v.w != -1]
 
     def test_chunked_replay_of_harness_audits(self, tmp_path, monkeypatch):

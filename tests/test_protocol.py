@@ -195,6 +195,27 @@ class TestRegulatorCr:
         reason = "Eigenvalues did not converge" if low > 0 else "matrix not symmetric"
         assert verdicts[0].rejected and reason in verdicts[0].reason
 
+    def test_overflowing_residual_verdict_without_warning(self):
+        # the projection and the energy overflow: inf is the statistic, silently
+        tup = CrTuple("u", 0, np.eye(3), np.array([1.7e308, -1.7e308, 1.7e308]), 5.0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = verify_cr(tup, 3)
+        assert verdict.reason is None and verdict.t_res_hat == np.inf
+        assert (verdict.rho_hat, verdict.matched) == (1, True)
+
+    def test_non_finite_eigenvalues_rejected(self):
+        # symmetrising makes the diagonal inf and eigh answers NaN without raising
+        tup = CrTuple("u", 0, np.diag([1.7e308] * 3), np.ones(3), 5.0, 0)
+        good = CrTuple("u", 1, np.eye(3), np.ones(3), 5.0, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdicts = verify_cr_stack([tup, good], 3)
+        with np.errstate(all="ignore"):
+            assert verdicts[0] == verify_cr(tup, 3) == reference_verify_cr(tup, 3)
+        assert verdicts[0].reason == "malformed disclosure: eigenvalues not all finite"
+        assert verdicts[1] == verify_cr(good, 3) and verdicts[1].reason is None
+
 
 CR_ROW_KINDS = (
     "psd", "near_singular", "singular", "near_symmetric", "asymmetric", "negative",

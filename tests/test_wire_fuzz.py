@@ -1,28 +1,36 @@
 """Property tests of the wire decoder and the regulator's verification.
 
 Whatever line arrives, ``decode_record`` returns a typed record that encodes
-again, or raises ``ProtocolError``; ``RegulatorSession.verify`` returns a
+again, or raises ``ProtocolError``, the same record or message as the
+field-by-field reference decoder; ``RegulatorSession.verify`` returns a
 verdict for every decoded tuple. Runs are derandomized and bounded, so the
 suite stays deterministic and fast.
 """
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dpalarm.config import reference_params
+from dpalarm.config import default_scenario, reference_params
+from dpalarm.pipeline import epoch_stream, residual_stream
 from dpalarm.protocol import (
     CrTuple,
     Handshake,
     ProtocolError,
     PvTuple,
     RegulatorSession,
+    UtilitySession,
     Verdict,
     decode_record,
     encode_record,
+    verify_cr,
+    verify_pv,
 )
+from conftest import reference_decode_record
 
 FUZZ = settings(
     derandomize=True,
@@ -150,3 +158,102 @@ def test_verify_never_raises_on_a_decoded_tuple(tup_rec, hs):
             verdict = session.verify(tup)
             assert isinstance(verdict, Verdict)
             assert isinstance(decode_record(encode_record(verdict)), Verdict)
+
+
+def _genuine_tuples(n_epochs=4):
+    """Reference-params disclosures of a simulated utility, in both modes."""
+    scenario = default_scenario()
+    aggs = epoch_stream(residual_stream(scenario, n_epochs * scenario.epoch_len, 7), scenario)
+    out = []
+    for mode in ("cr", "pv"):
+        session = UtilitySession("u", mode, reference_params(), scenario.plant.d, scenario.alpha,
+                                 np.random.default_rng(7), scenario.epoch_len)
+        out += [session.process_epoch(agg).tuple_obj for agg in aggs]
+    return out
+
+
+GENUINE = _genuine_tuples()
+# "0" and "-0" (for -0.0) and "3" go on the wire as integer literals
+SPECIAL = st.sampled_from([0.0, -0.0, 3.0, 1e308, -1e308, 5e-324])
+
+
+@st.composite
+def canonical_lines(draw):
+    """The wire line of a genuine tuple, or of its verdict, with a few numbers
+    replaced by special values."""
+    tup = draw(st.sampled_from(GENUINE))
+    if isinstance(tup, CrTuple):
+        s_hat, tau_rg = tup.s_hat.ravel().copy(), tup.tau_rg.copy()
+        for _ in range(draw(st.integers(0, 2))):
+            arr = draw(st.sampled_from([s_hat, tau_rg]))
+            arr[draw(st.integers(0, len(arr) - 1))] = draw(SPECIAL)
+        thr = draw(st.just(tup.threshold) | SPECIAL)
+        tup = dataclasses.replace(tup, s_hat=s_hat.reshape(tup.s_hat.shape), tau_rg=tau_rg, threshold=thr)
+    else:
+        tup = dataclasses.replace(tup, **{
+            key: draw(st.just(getattr(tup, key)) | SPECIAL) for key in ("t_res", "t_cov", "alpha_hat")
+        })
+    if draw(st.booleans()):
+        with np.errstate(all="ignore"):
+            rec = verify_cr(tup, 3) if isinstance(tup, CrTuple) else verify_pv(tup, 3)
+        if rec.pvalue is not None:
+            rec = dataclasses.replace(rec, pvalue=draw(st.just(rec.pvalue) | SPECIAL))
+    else:
+        rec = tup
+    line = encode_record(rec)
+    # a float literal beyond float range: json reads it as inf
+    numbers = [m for m in re.finditer(r"-?\d[\d.]*(e[-+]?\d+)?", line) if "." in m[0] or "e" in m[0]]
+    if numbers and draw(st.booleans()):
+        m = draw(st.sampled_from(numbers))
+        line = line[: m.start()] + draw(st.sampled_from(["1e400", "-1e999"])) + line[m.end():]
+    # JSON whitespace around the value, or data after it
+    line = draw(st.sampled_from(["", " ", "\t\r"])) + line + draw(st.sampled_from(["", " ", "\r", " 1", "{}"]))
+    return line.encode() if draw(st.booleans()) else line
+
+
+def decode_outcome(decode, line):
+    """The decoded record, or the ProtocolError's message."""
+    try:
+        return decode(line)
+    except ProtocolError as exc:
+        return f"ProtocolError: {exc}"
+
+
+def same_record(a, b):
+    """Equal records: same type, arrays bitwise equal in dtype and shape, and
+    every other field of the same type and repr."""
+    if type(a) is not type(b):
+        return False
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            if not (isinstance(y, np.ndarray) and (x.dtype, x.shape) == (y.dtype, y.shape)
+                    and x.tobytes() == y.tobytes()):
+                return False
+        elif type(x) is not type(y) or repr(x) != repr(y):
+            return False
+    return True
+
+
+def assert_decodes_as_reference(line):
+    got, ref = decode_outcome(decode_record, line), decode_outcome(reference_decode_record, line)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert same_record(got, ref), (got, ref)
+
+
+@FUZZ
+@given(st.one_of(
+    st.text(max_size=300),
+    st.binary(max_size=300),
+    st.builds(as_line, mutated_records() | tuples, st.booleans()),
+))
+def test_decoder_matches_reference_on_any_line(line):
+    assert_decodes_as_reference(line)
+
+
+@FUZZ
+@given(canonical_lines())
+def test_decoder_matches_reference_on_canonical_lines(line):
+    assert_decodes_as_reference(line)
