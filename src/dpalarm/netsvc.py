@@ -24,11 +24,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .config import ScenarioConfig
 from .ekf import residuals_from_csv
-from .pipeline import derive_seed, epoch_stream, residual_stream
+from .pipeline import epoch_stream, residual_stream, utility_session
 from .privacy import PrivacyParams
 from .protocol import (
     CrTuple,
@@ -36,7 +34,6 @@ from .protocol import (
     ProtocolError,
     PvTuple,
     RegulatorSession,
-    UtilitySession,
     Verdict,
     decode_record,
     encode_record,
@@ -477,8 +474,10 @@ def run_utility_client(
     partial summary with ``completed=False``.
     """
     summary = ClientSummary(uid=uid, completed=False)
-    if scenario.p != params.p:
-        summary.error = f"scenario p={scenario.p} differs from params p={params.p}"
+    try:
+        session = utility_session(scenario, params, mode, seed, utility_index, uid)
+    except ValueError as exc:
+        summary.error = str(exc)
         return summary
     if csv_source is not None:
         with open(csv_source, "r", encoding="utf-8") as fh:
@@ -495,15 +494,6 @@ def run_utility_client(
         summary.error = f"source yields only {len(aggs)} full epochs, need {n_epochs}"
         return summary
 
-    session = UtilitySession(
-        uid=uid,
-        mode=mode,
-        params=params,
-        d=scenario.plant.d,
-        alpha=scenario.alpha,
-        rng=np.random.default_rng(derive_seed(seed, utility_index, 1)),
-        epoch_len=scenario.epoch_len,
-    )
     try:
         sock = _connect_with_retry(regulator_addr, retry_delays)
     except ConnectionError as exc:
@@ -569,17 +559,21 @@ def run_harness(config: HarnessConfig, audit_path: str | Path) -> ExperimentReco
         scen = config.scenario
         if config.attacked_utility == j and config.attacked_scenario is not None:
             scen = config.attacked_scenario
-        summaries[uid] = run_utility_client(
-            addr,
-            config.params,
-            scen,
-            config.mode,
-            seed=config.master_seed,
-            n_epochs=config.n_epochs,
-            uid=uid,
-            utility_index=j,
-            retry_delays=(0.1, 0.2),
-        )
+        try:
+            summaries[uid] = run_utility_client(
+                addr,
+                config.params,
+                scen,
+                config.mode,
+                seed=config.master_seed,
+                n_epochs=config.n_epochs,
+                uid=uid,
+                utility_index=j,
+                retry_delays=(0.1, 0.2),
+            )
+        except Exception as exc:  # a crashed client leaves the experiment partial
+            logger.exception("utility %s crashed", uid)
+            summaries[uid] = ClientSummary(uid, completed=False, error=str(exc))
 
     try:
         for j in range(config.n_utilities):

@@ -30,6 +30,7 @@ __all__ = [
     "simulated_stream",
     "residual_stream",
     "epoch_stream",
+    "utility_session",
     "PipelineEpoch",
     "run_pipeline",
 ]
@@ -82,6 +83,22 @@ def epoch_stream(
     return out
 
 
+def utility_session(
+    scenario: ScenarioConfig, params: PrivacyParams, mode: str, seed: int, utility_index: int, uid: str
+) -> UtilitySession:
+    """Utility ``utility_index``'s disclosure session, seeded from ``seed``:
+    the same seed gives the same tuples in process and over a socket.
+
+    Raises:
+        ValueError: the scenario's p (the local alarm's dof) differs from
+            params.p (the disclosed alarm's), or the mode is unknown.
+    """
+    if scenario.p != params.p:
+        raise ValueError(f"scenario p={scenario.p} differs from params p={params.p}")
+    rng = np.random.default_rng(derive_seed(seed, utility_index, 1))
+    return UtilitySession(uid, mode, params, scenario.plant.d, scenario.alpha, rng, scenario.epoch_len)
+
+
 @dataclass
 class PipelineEpoch:
     """One epoch's utility-side result joined with the regulator verdict."""
@@ -115,23 +132,11 @@ def run_pipeline(
     """Full loopback run of one utility against an in-process regulator.
 
     Raises:
-        ValueError: the scenario's p (the local alarm's dof) differs from
-            params.p (the disclosed alarm's).
+        ValueError: as ``utility_session``.
     """
-    if scenario.p != params.p:
-        raise ValueError(f"scenario p={scenario.p} differs from params p={params.p}")
+    session = utility_session(scenario, params, mode, seed, utility_index, uid)
     records = residual_stream(scenario, n_epochs * scenario.epoch_len, seed, utility_index)
     aggs = epoch_stream(records, scenario)[:n_epochs]
-    sess_rng = np.random.default_rng(derive_seed(seed, utility_index, 1))
-    session = UtilitySession(
-        uid=uid,
-        mode=mode,
-        params=params,
-        d=scenario.plant.d,
-        alpha=scenario.alpha,
-        rng=sess_rng,
-        epoch_len=scenario.epoch_len,
-    )
     hs = session.handshake()
     regulator = RegulatorSession(hs)
     epochs = []

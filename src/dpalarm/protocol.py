@@ -210,7 +210,6 @@ class UtilitySession:
         self.tau_tracker = NormTracker(TRACKER_WINDOW)
         self.r_tracker = NormTracker(TRACKER_WINDOW)
         self._energy_window: deque[float] = deque(maxlen=TRACKER_WINDOW)
-        self._alpha_cache: AlphaInversion | None = None
         self._alpha_cache_norm: float = 0.0
         self.last_inputs: BoundInputs | None = None
         self.last_inversion: AlphaInversion | None = None
@@ -244,7 +243,7 @@ class UtilitySession:
     def _alpha_hat(self, tau_max: np.ndarray, r_max: float) -> AlphaInversion:
         cur_norm = self.tau_tracker.max_norm
         stale = (
-            self._alpha_cache is None
+            self.last_inversion is None
             or self._alpha_cache_norm <= 0.0
             or abs(cur_norm - self._alpha_cache_norm) > ALPHA_RECOMPUTE_DRIFT * self._alpha_cache_norm
         )
@@ -252,9 +251,8 @@ class UtilitySession:
             self.last_inversion = equivalent_alpha(
                 self.alpha, self._representative_inputs(tau_max, r_max)
             )
-            self._alpha_cache = self.last_inversion
             self._alpha_cache_norm = cur_norm
-        return self._alpha_cache
+        return self.last_inversion
 
     def process_epoch(self, agg: EpochAggregate) -> EpochResult:
         """Run the disclosure pipeline on one aggregate and build the tuple."""
@@ -584,9 +582,27 @@ def _parse_json(line: str):
 
 
 def _need(obj: dict, key: str, kind, path: str):
-    if key not in obj:
-        raise ProtocolError(f"{path}.{key}: missing field")
-    val = obj[key]
+    """``obj[key]`` as ``kind``, or the ProtocolError naming ``path.key``.
+
+    A value of exactly ``kind`` that needs no conversion (a finite float, an
+    int, a str, a list of floats with a finite sum) returns at once; any other
+    takes the checks below, which accept it with the same value or word the error.
+    """
+    try:
+        val = obj[key]
+    except KeyError:
+        raise ProtocolError(f"{path}.{key}: missing field") from None
+    if type(val) is kind:
+        if kind is float:
+            if math.isfinite(val):
+                return val
+        elif kind is list:
+            # a sum of floats is finite only if every term is (one that
+            # overflows takes the element checks, which accept it)
+            if {*map(type, val)} == _JUST_FLOAT and math.isfinite(sum(val)):
+                return val
+        else:  # int or str
+            return val
     if kind is float:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ProtocolError(f"{path}.{key}: expected number, got {type(val).__name__}")
@@ -625,10 +641,10 @@ def decode_record(line: str | bytes) -> Handshake | CrTuple | PvTuple | Verdict:
     """Parse one wire line into a typed record.
 
     Only ProtocolError leaves this function, whatever the line holds, and a
-    decoded record always re-encodes. A tuple or verdict whose fields all
-    have their exact types is checked in one pass; any other record, and
-    every handshake, goes field by field through ``_need``, which words
-    every error.
+    decoded record always re-encodes. Each field goes through ``_need`` in
+    wire order, so the first bad field names the error; a field that already
+    has its exact type, as the encoder writes all but integral floats, costs
+    ``_need`` one type test.
 
     Raises:
         ProtocolError: truncated/malformed JSON (including nesting too deep
@@ -649,76 +665,19 @@ def decode_record(line: str | bytes) -> Handshake | CrTuple | PvTuple | Verdict:
         raise ProtocolError(f"malformed record: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(f"record must be an object, got {type(obj).__name__}")
-    rec = _exact_record(obj)
-    return _checked_record(obj) if rec is None else rec
-
-
-def _exact_record(obj: dict) -> CrTuple | PvTuple | Verdict | None:
-    """The tuple or verdict in ``obj`` when every field it reads has its exact
-    type, in one pass: floats finite, no bools for ints, no ints for floats.
-
-    None sends the record to ``_checked_record``, which words the error or
-    converts the odd value (an integer literal in a float field, say), so a
-    record decodes the same on either path. Handshakes take that path too.
-    """
-    get = obj.get
-    v, uid, w = get("v"), get("uid"), get("w")
-    if type(v) is not int or v != PROTOCOL_VERSION or type(uid) is not str or type(w) is not int:
-        return None
-    if "rho_hat" in obj:  # verdict
-        rho_hat, matched, pvalue, reason = get("rho_hat"), get("matched"), get("pvalue"), get("reason")
-        if (
-            type(rho_hat) is int
-            and type(matched) is int
-            and (type(pvalue) is float and math.isfinite(pvalue) or pvalue is None and "pvalue" not in obj)
-            and (type(reason) is str or reason is None and "reason" not in obj)
-        ):
-            return Verdict(uid, w, rho_hat, bool(matched), pvalue, reason)
-        return None
-    mode, rho = get("mode"), get("rho")
-    if type(rho) is not int or "params" in obj:
-        return None
-    if mode == "cr":
-        s_flat, tau_rg, thr = get("s_hat"), get("tau_rg"), get("thr")
-        if type(s_flat) is not list or type(tau_rg) is not list or type(thr) is not float:
-            return None
-        d = math.isqrt(len(s_flat))
-        # a sum of floats is finite only if every term is (one that overflows
-        # takes the checked path, which accepts it)
-        if (
-            d
-            and d * d == len(s_flat)
-            and len(tau_rg) == d
-            and {*map(type, s_flat), *map(type, tau_rg)} == _JUST_FLOAT
-            and math.isfinite(sum(s_flat, sum(tau_rg, thr)))
-        ):
-            return CrTuple(uid, w, np.array(s_flat).reshape(d, d), np.array(tau_rg), thr, rho)
-    elif mode == "pv":
-        t_res, t_cov, alpha_hat = get("t_res"), get("t_cov"), get("alpha_hat")
-        if (
-            type(t_res) is float
-            and type(t_cov) is float
-            and type(alpha_hat) is float
-            and math.isfinite(t_res + t_cov + alpha_hat)
-        ):
-            return PvTuple(uid, w, t_res, t_cov, alpha_hat, rho)
-    return None
-
-
-def _checked_record(obj: dict) -> Handshake | CrTuple | PvTuple | Verdict:
-    """``obj`` as a record, each field through ``_need``, or its ProtocolError."""
     v = _need(obj, "v", int, "record")
     if v != PROTOCOL_VERSION:
         raise ProtocolError(f"record.v: unsupported version {v}")
 
+    # records are built positionally: keywords cost a frozen dataclass more
     if "rho_hat" in obj:  # verdict
         return Verdict(
-            uid=_need(obj, "uid", str, "verdict"),
-            w=_need(obj, "w", int, "verdict"),
-            rho_hat=_need(obj, "rho_hat", int, "verdict"),
-            matched=bool(_need(obj, "matched", int, "verdict")),
-            pvalue=_need(obj, "pvalue", float, "verdict") if "pvalue" in obj else None,
-            reason=_need(obj, "reason", str, "verdict") if "reason" in obj else None,
+            _need(obj, "uid", str, "verdict"),
+            _need(obj, "w", int, "verdict"),
+            _need(obj, "rho_hat", int, "verdict"),
+            bool(_need(obj, "matched", int, "verdict")),
+            _need(obj, "pvalue", float, "verdict") if "pvalue" in obj else None,
+            _need(obj, "reason", str, "verdict") if "reason" in obj else None,
         )
     mode = _need(obj, "mode", str, "record")
     if mode not in ("cr", "pv"):
@@ -759,18 +718,18 @@ def _checked_record(obj: dict) -> Handshake | CrTuple | PvTuple | Verdict:
         if len(tau_rg) != d:
             raise ProtocolError(f"cr.tau_rg: length {len(tau_rg)} != d={d}")
         return CrTuple(
-            uid=_need(obj, "uid", str, "cr"),
-            w=_need(obj, "w", int, "cr"),
-            s_hat=np.array(s_flat).reshape(d, d),
-            tau_rg=np.array(tau_rg),
-            threshold=_need(obj, "thr", float, "cr"),
-            rho=_need(obj, "rho", int, "cr"),
+            _need(obj, "uid", str, "cr"),
+            _need(obj, "w", int, "cr"),
+            np.array(s_flat).reshape(d, d),
+            np.array(tau_rg),
+            _need(obj, "thr", float, "cr"),
+            _need(obj, "rho", int, "cr"),
         )
     return PvTuple(
-        uid=_need(obj, "uid", str, "pv"),
-        w=_need(obj, "w", int, "pv"),
-        t_res=_need(obj, "t_res", float, "pv"),
-        t_cov=_need(obj, "t_cov", float, "pv"),
-        alpha_hat=_need(obj, "alpha_hat", float, "pv"),
-        rho=_need(obj, "rho", int, "pv"),
+        _need(obj, "uid", str, "pv"),
+        _need(obj, "w", int, "pv"),
+        _need(obj, "t_res", float, "pv"),
+        _need(obj, "t_cov", float, "pv"),
+        _need(obj, "alpha_hat", float, "pv"),
+        _need(obj, "rho", int, "pv"),
     )

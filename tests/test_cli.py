@@ -220,6 +220,14 @@ class TestAlign:
         with pytest.raises(ValueError, match="shorter"):
             cmd_align(sc, reference_params(), seed=0, checkpoints_s=(200.0,))
 
+    def test_checkpoint_without_epoch_rejected(self):
+        # 0.2 s rounds to no 1 s epoch (W=10, dt=0.1): its row would be nan
+        with pytest.raises(ValueError, match="checkpoint 0.2s covers no 1s epoch"):
+            cmd_align(
+                attacked_scenario(), reference_params(), seed=0,
+                checkpoints_s=(0.2, 20.0), repeats=1,
+            )
+
     def test_checkpoint_beyond_window_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             cmd_align(

@@ -221,6 +221,23 @@ class TestHarness:
         assert not rec.partial
         assert rec.summaries["u0"].completed
 
+    def test_crashed_client_leaves_experiment_partial(self, tmp_path):
+        rec = run_harness(self._config(mode="bogus"), tmp_path / "a.log")
+        assert rec.partial
+        assert sorted(rec.summaries) == ["u0", "u1"]
+        for summary in rec.summaries.values():
+            assert not summary.completed
+            assert summary.error == "mode must be 'cr' or 'pv', got 'bogus'"
+
+    def test_raising_client_recorded_with_its_error(self, tmp_path, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("client crashed")
+
+        monkeypatch.setattr(netsvc, "run_utility_client", crash)
+        rec = run_harness(self._config(n=1), tmp_path / "a.log")
+        assert rec.partial
+        assert rec.summaries["u0"] == netsvc.ClientSummary("u0", completed=False, error="client crashed")
+
     def test_attacked_utility_isolated_alarms(self, tmp_path):
         rec = run_harness(self._config(n=3, epochs=20, attacked=1), tmp_path / "a.log")
         assert not rec.partial

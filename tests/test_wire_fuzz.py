@@ -12,7 +12,7 @@ import json
 import re
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dpalarm.config import default_scenario, reference_params
@@ -253,7 +253,16 @@ def test_decoder_matches_reference_on_any_line(line):
     assert_decodes_as_reference(line)
 
 
+def genuine_line(i, **changes):
+    return encode_record(dataclasses.replace(GENUINE[i], **changes))
+
+
 @FUZZ
 @given(canonical_lines())
+# one line for each way a field misses the decoder's exact-type early return
+@example(genuine_line(0, threshold=1.0))  # "thr":1, an integer literal in a float field
+@example(re.sub(r'"rho":\d', '"rho":true', genuine_line(-1)))  # a bool in an int field
+@example(genuine_line(0, s_hat=GENUINE[0].s_hat + np.diag([1e308, 1e308, 0.0])))  # finite terms, sum overflows
+@example(re.sub(r'"tau_rg":\[[^]]*\]', '"tau_rg":[]', genuine_line(0)))  # an empty array
 def test_decoder_matches_reference_on_canonical_lines(line):
     assert_decodes_as_reference(line)
