@@ -55,6 +55,7 @@ from .protocol import (
     Handshake,
     ProtocolError,
     PvTuple,
+    Regulator,
     RegulatorSession,
     UtilitySession,
     Verdict,

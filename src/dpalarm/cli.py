@@ -245,9 +245,11 @@ def cmd_align(
     max_cp = max(checkpoints_s)
     if max_cp > ATTACK_WINDOW_S:
         raise ValueError(f"checkpoint {max_cp}s exceeds the {ATTACK_WINDOW_S}s attack window")
-    for c in checkpoints_s:
+    for i, c in enumerate(checkpoints_s):
         if round(c / sec_per_epoch) < 1:
             raise ValueError(f"checkpoint {c}s covers no {sec_per_epoch:g}s epoch")
+        if c in checkpoints_s[:i]:  # its row would count each repeat twice
+            raise ValueError(f"checkpoint {c}s is repeated")
     window_steps = (attack.t_end - attack.t_start + 1) * scenario.plant.dt
     if window_steps < max_cp:
         raise ValueError(

@@ -2,13 +2,14 @@
 
 Transport is a TCP stream of newline-delimited wire records (see
 ``protocol``): per session, one handshake line, then one tuple line per epoch
-answered by one verdict line. The regulator serves up to ``MAX_SESSIONS``
-independent sessions from one event loop on non-blocking sockets: each
-complete line is verified and answered before the next is taken, so a
-session never waits for another one's thread, and a session silent for
-``IDLE_LIMIT_S`` is closed. Every received tuple and sent verdict is appended
-to an audit log that can be replayed offline to reproduce the verdicts
-byte-exactly.
+answered by one verdict line. Which session a line belongs to and what it is
+answered is ``protocol.Regulator``'s; this module is its transport. The
+regulator serves up to ``MAX_SESSIONS`` connections from one event loop on
+non-blocking sockets: each complete line is answered before the next is
+taken, so a session never waits for another one's thread, and a session
+silent for ``IDLE_LIMIT_S`` is closed. The audit log holds every line the
+``Regulator`` logs, and ``replay_audit`` files it through a ``Regulator`` to
+reproduce the verdicts byte-exactly.
 
 Audit line format: ``<ISO-8601 timestamp> <RX|TX> <wire record>``.
 """
@@ -30,9 +31,8 @@ from .pipeline import epoch_stream, residual_stream, utility_session
 from .privacy import PrivacyParams
 from .protocol import (
     CrTuple,
-    Handshake,
     ProtocolError,
-    PvTuple,
+    Regulator,
     RegulatorSession,
     Verdict,
     decode_record,
@@ -81,9 +81,6 @@ class RegulatorConfig:
     audit_path: str | Path
     mode_allow: str = "both"  # "cr" | "pv" | "both"
 
-    def allows(self, mode: str) -> bool:
-        return self.mode_allow in ("both", mode)
-
 
 class _AuditLog:
     """Append-only audit sink; the event loop is its only writer."""
@@ -92,15 +89,11 @@ class _AuditLog:
         # "\n" only ends a line: a tuple may hold a raw "\r" (JSON whitespace)
         self._fh = open(path, "a", encoding="utf-8", newline="\n")
 
-    def append(self, direction: str, record: str) -> None:
+    def append(self, *lines: str) -> None:
+        """Log ``"<RX|TX> <record>"`` lines under one timestamp with one flush,
+        so a tuple and its verdict land together, in replay order."""
         stamp = datetime.now(timezone.utc).isoformat()
-        self._fh.write(f"{stamp} {direction} {record}\n")
-        self._fh.flush()
-
-    def append_pair(self, rx_record: str, tx_record: str) -> None:
-        """Log a tuple and its verdict with one flush, so replay order is exact."""
-        stamp = datetime.now(timezone.utc).isoformat()
-        self._fh.write(f"{stamp} RX {rx_record}\n{stamp} TX {tx_record}\n")
+        self._fh.write("".join([f"{stamp} {line}\n" for line in lines]))
         self._fh.flush()
 
     def close(self) -> None:
@@ -132,14 +125,17 @@ class _Conn:
 class RegulatorServer:
     """Regulator serving every session from one ``selectors`` event loop.
 
-    Sockets are non-blocking. Each complete line is decoded, verified, logged
-    and answered before the loop takes the next, and no call waits on a
-    single client: a session with unsent verdicts is not read until its peer
-    takes them. A uid has at most one open session: a handshake under a uid
-    in use is refused, so within one connection each (uid, w) is verified at
-    most once. A later connection under the same uid opens a new session
-    with its own duplicate tracking, which verifies the same (uid, w) again.
-    The loop is the only writer of the audit log.
+    The server is the transport of one ``protocol.Regulator``, which decides
+    every answer and what is logged: sockets, line buffers and their
+    ``MAX_RECORD_BYTES`` limit, the ``MAX_SESSIONS`` cap, idle and linger
+    timeouts and the send buffer are the server's. Sockets are non-blocking.
+    Each complete line is answered, logged and sent before the loop takes
+    the next, and no call waits on a single client: a session with unsent
+    verdicts is not read until its peer takes them. A uid has at most one
+    open session, so within one connection each (uid, w) is verified at most
+    once; a later connection under the same uid opens a new session with its
+    own duplicate tracking, which verifies the same (uid, w) again. The loop
+    is the only writer of the audit log.
     """
 
     def __init__(self, listen_addr: tuple[str, int], config: RegulatorConfig):
@@ -151,10 +147,8 @@ class RegulatorServer:
         self._sel.register(self._listener, selectors.EVENT_READ)
         self._sel.register(self._wake_r, selectors.EVENT_READ)
         self.audit = _AuditLog(config.audit_path)
+        self.regulator = Regulator(config.mode_allow)
         self.active_sessions = 0
-        # uid -> the connection whose open session holds it: a second session
-        # under a live uid would have its (uid, w) pairs verified twice
-        self._uids: dict[str, _Conn] = {}
         self._stopping = False
         self._idle = threading.Event()  # set while no loop runs
         self._idle.set()
@@ -235,19 +229,15 @@ class RegulatorServer:
         conn = _Conn(sock, peer, self._now)
         self._sel.register(sock, selectors.EVENT_READ, conn)
         if self.active_sessions >= MAX_SESSIONS:
-            reason = f"session limit of {MAX_SESSIONS} reached"
-            logger.warning("connection from %s refused: %s", peer, reason)
+            _, reply, log = self.regulator.refuse(None, f"session limit of {MAX_SESSIONS} reached")
             try:
-                self._reject(conn, "?", reason)
+                self.audit.append(*log)
+                self._end(conn, reply)
             except OSError:
                 self._close(conn)
             return
         conn.slot = True
         self.active_sessions += 1
-
-    def _release_uid(self, conn: _Conn) -> None:
-        if conn.session is not None and self._uids.get(conn.session.handshake.uid) is conn:
-            del self._uids[conn.session.handshake.uid]
 
     def _close(self, conn: _Conn) -> None:
         self._sel.unregister(conn.sock)
@@ -255,16 +245,11 @@ class RegulatorServer:
         if conn.slot:
             conn.slot = False
             self.active_sessions -= 1
-        self._release_uid(conn)
         session = conn.session
         if session is not None:
-            logger.info(
-                "session %s done: %d tuples, %d verdicts, %d mismatches",
-                session.handshake.uid,
-                session.tuples_received,
-                session.verdicts_sent,
-                session.mismatches,
-            )
+            self.regulator.close(session)
+            logger.info("session %s done: %d tuples, %d mismatches",
+                        session.handshake.uid, session.tuples, session.mismatches)
 
     def _close_idle(self) -> None:
         """Close sessions silent for ``IDLE_LIMIT_S``, rejected ones after ``_LINGER_S``."""
@@ -306,12 +291,10 @@ class RegulatorServer:
         elif conn.inbuf:
             self._take_lines(conn, b"")
 
-    def _reject(self, conn: _Conn, uid: str, reason: str) -> None:
-        """Log and send a rejection verdict that answers no tuple; end the session."""
-        msg = encode_record(Verdict(uid=uid, w=-1, rho_hat=0, matched=False, reason=reason))
-        self.audit.append("TX", msg)
-        self._send(conn, msg)
-        self._release_uid(conn)  # the session takes no more tuples
+    def _end(self, conn: _Conn, reply: str) -> None:
+        """Send the verdict that ends the session, which takes no more lines."""
+        logger.warning("connection from %s refused: %s", conn.peer, reply)
+        self._send(conn, reply)
         conn.closing = True
         conn.inbuf = b""
         if conn.outbuf:
@@ -370,52 +353,21 @@ class RegulatorServer:
 
     def _on_line(self, conn: _Conn, line: bytes | None) -> None:
         """Answer one line; ``None`` stands for a line over the length limit."""
-        session = conn.session
-        if session is None:
-            try:
-                if line is None:
-                    raise ProtocolError(_OVERLONG)
-                hs = decode_record(line)
-                if not isinstance(hs, Handshake):
-                    raise ProtocolError("first record must be a handshake")
-                if not self.config.allows(hs.mode):
-                    raise ProtocolError(f"mode {hs.mode!r} not allowed by this regulator")
-                if hs.uid in self._uids:
-                    raise ProtocolError(f"uid {hs.uid!r} already has an open session")
-            except ProtocolError as exc:
-                logger.warning("handshake from %s refused: %s", conn.peer, exc)
-                self._reject(conn, "?", str(exc))
-                return
-            self.audit.append("RX", encode_record(hs))
-            conn.session = RegulatorSession(hs)
-            self._uids[hs.uid] = conn
-            logger.info("session %s mode=%s d=%d p=%d", hs.uid, hs.mode, hs.d, hs.p)
-            return
-        uid = session.handshake.uid
         if line is None:
-            logger.warning("session %s: %s, closing", uid, _OVERLONG)
-            self._reject(conn, uid, _OVERLONG)
-            return
-        raw = line.decode("utf-8", errors="replace")
-        try:
-            tup = decode_record(raw)
-            if isinstance(tup, Verdict):
-                raise ProtocolError("unexpected verdict from client")
-        except ProtocolError as exc:
-            verdict = Verdict(uid=uid, w=-1, rho_hat=0, matched=False, reason=str(exc))
+            session, reply, log = self.regulator.refuse(conn.session, _OVERLONG)
+        elif conn.session is None:
+            session, reply, log = self.regulator.open(line)
         else:
-            # Replay reads a logged handshake as a new session and files a
-            # logged tuple under its own uid's session: a line it would misread
-            # ends the session unlogged, as an overlong line does.
-            if isinstance(tup, Handshake) or tup.uid != uid:
-                reason = "duplicate handshake" if isinstance(tup, Handshake) else "uid mismatch"
-                logger.warning("session %s: %s, closing", uid, reason)
-                self._reject(conn, uid, reason)
-                return
-            verdict = session.verify(tup)
-        out = encode_record(verdict)
-        self.audit.append_pair(raw, out)
-        self._send(conn, out)
+            session, reply, log = self.regulator.answer(conn.session, line)
+        self.audit.append(*log)
+        if session is None:
+            self._end(conn, reply)
+        elif reply is None:  # the handshake opened the session
+            conn.session = session
+            hs = session.handshake
+            logger.info("session %s mode=%s d=%d p=%d", hs.uid, hs.mode, hs.d, hs.p)
+        else:
+            self._send(conn, reply)
 
 
 def serve_regulator(listen_addr: tuple[str, int], config: RegulatorConfig) -> None:
@@ -596,14 +548,16 @@ def replay_audit(audit_path: str | Path) -> list[tuple[str, str]]:
     atomically, so pairing is positional. A faithful log replays byte-exactly;
     such a pair holds the one string twice.
 
-    The log is read in chunks of ``REPLAY_CHUNK`` tuples. Whether a tuple
-    fits its session (``RegulatorSession.mismatch_reason``) and a CR
-    tuple's numbers do not depend on session state, so each tuple's fit is
-    checked once as it is read, and each chunk verifies its fitting CR
-    tuples in one ``verify_cr_stack`` call per session; admission and
-    duplicate tracking then run in log order, in ``RegulatorSession.verify``.
+    Each RX record is filed through ``Regulator.file``, under the rule the
+    live regulator answered it by. The log is read in chunks of
+    ``REPLAY_CHUNK`` tuples. Whether a tuple fits its session
+    (``RegulatorSession.mismatch_reason``) and a CR tuple's numbers do not
+    depend on session state, so each tuple's fit is checked once as it is
+    read, and each chunk verifies its fitting CR tuples in one
+    ``verify_cr_stack`` call per session; admission and duplicate tracking
+    then run in log order, in ``RegulatorSession.verify``.
     """
-    sessions: dict[str, RegulatorSession] = {}
+    regulator = Regulator()
     pairs: list[tuple[str, str]] = []
     pending: str | None = None  # replayed verdict awaiting its logged TX line
     chunk: list = []  # TX records and [session, tuple, verdict once admitted] items, in log order
@@ -627,12 +581,8 @@ def replay_audit(audit_path: str | Path) -> list[tuple[str, str]]:
                 obj = decode_record(record)
             except ProtocolError:
                 continue  # undecodable tuple; its rejection TX stays unpaired
-            if isinstance(obj, Handshake):
-                sessions[obj.uid] = RegulatorSession(obj)
-            elif isinstance(obj, (CrTuple, PvTuple)):
-                session = sessions.get(obj.uid)
-                if session is None:
-                    raise ProtocolError(f"tuple for unknown session {obj.uid!r}")
+            session = regulator.file(obj)
+            if session is not None:  # a tuple
                 reason = session.mismatch_reason(obj)
                 if reason is not None:
                     item = [session, obj, Verdict.rejection(obj, reason)]

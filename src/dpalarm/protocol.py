@@ -55,6 +55,7 @@ __all__ = [
     "aggregate_epoch",
     "UtilitySession",
     "RegulatorSession",
+    "Regulator",
     "encode_record",
     "decode_record",
 ]
@@ -404,8 +405,7 @@ class RegulatorSession:
         self._first = 0
         self._next = 0
         self._out_of_order: set[int] = set()
-        self.tuples_received = 0
-        self.verdicts_sent = 0
+        self.tuples = 0  # each gets one verdict
         self.mismatches = 0
 
     def _seen(self, w: int) -> bool:
@@ -452,33 +452,121 @@ class RegulatorSession:
         """Admit a tuple and verify it, or reject it.
 
         The tuple's uid must be the handshake's: the caller files each tuple
-        under its own uid's session (a regulator rejects a foreign uid before
-        this point). ``verdict`` is the one the tuple gets once past the
+        under its own uid's session (``Regulator`` ends a session on a foreign
+        uid before this point). ``verdict`` is the one the tuple gets once past the
         duplicate and backlog checks, when the caller has it already: the
         ``mismatch_reason`` rejection, else ``verify_cr``/``verify_pv`` at the
         handshake's p. A replay that checks each tuple's fit once and verifies
         a batch of CR tuples in one stack passes it.
         """
-        self.tuples_received += 1
+        self.tuples += 1
         if self._seen(tup.w):
-            reason = "duplicate epoch index"
+            verdict = Verdict.rejection(tup, "duplicate epoch index")
         elif self._backlog_full(tup.w):
-            reason = f"out-of-order backlog full: {MAX_OUT_OF_ORDER} epochs"
-        elif verdict is not None:
-            reason = None
-        else:
-            reason = self.mismatch_reason(tup)
-        if reason is not None:
-            verdict = Verdict.rejection(tup, reason)
+            verdict = Verdict.rejection(tup, f"out-of-order backlog full: {MAX_OUT_OF_ORDER} epochs")
         elif verdict is None:
-            p = self.handshake.p
-            verdict = verify_cr(tup, p) if isinstance(tup, CrTuple) else verify_pv(tup, p)
+            reason = self.mismatch_reason(tup)
+            if reason is not None:
+                verdict = Verdict.rejection(tup, reason)
+            else:
+                p = self.handshake.p
+                verdict = verify_cr(tup, p) if isinstance(tup, CrTuple) else verify_pv(tup, p)
         if verdict.reason is None:
             self._mark_seen(tup.w)
-        self.verdicts_sent += 1
         if not verdict.matched:
             self.mismatches += 1
         return verdict
+
+
+# What ``Regulator`` makes of a line: the connection's session after it (None
+# once refused or ended), the line to send back (None for an admitted
+# handshake) and the audit lines, ``"RX <record>"`` and ``"TX <record>"``.
+Answer = tuple[RegulatorSession | None, str | None, tuple[str, ...]]
+
+
+class Regulator:
+    """Which session each line belongs to, and the verdict line it gets.
+
+    A connection's first line must be a handshake, in a mode this regulator
+    allows, under a uid with no open session; it opens that uid's session.
+    Each later line gets one verdict from that session, logged after the
+    line. A handshake or another uid's tuple ends the session instead, and
+    only the refusal is logged: replay files a logged handshake as a new
+    session and a logged tuple under its own uid's open session, so either
+    line would replay under another session than the live one. A closed
+    session frees its uid, and a later handshake under it opens a new
+    session with a new index run.
+
+    ``open``, ``answer`` and ``refuse`` return the audit lines their answer
+    logs, and ``file`` files each logged record in replay under the same
+    rule. Sockets, line length, session count and timeouts are the
+    transport's.
+    """
+
+    def __init__(self, mode_allow: str = "both"):
+        self.mode_allow = mode_allow  # "cr" | "pv" | "both"
+        self.sessions: dict[str, RegulatorSession] = {}  # uid -> its open session
+
+    def open(self, line: str | bytes) -> Answer:
+        """Admit a connection's first line, or refuse the connection."""
+        try:
+            hs = decode_record(line)
+            if not isinstance(hs, Handshake):
+                raise ProtocolError("first record must be a handshake")
+            if self.mode_allow not in ("both", hs.mode):
+                raise ProtocolError(f"mode {hs.mode!r} not allowed by this regulator")
+            if hs.uid in self.sessions:
+                raise ProtocolError(f"uid {hs.uid!r} already has an open session")
+        except ProtocolError as exc:
+            return self.refuse(None, str(exc))
+        session = self.sessions[hs.uid] = RegulatorSession(hs)
+        return session, None, ("RX " + encode_record(hs),)
+
+    def answer(self, session: RegulatorSession, line: bytes) -> Answer:
+        """Answer a line of ``session``'s connection, or end the session. The
+        line is logged as read, invalid UTF-8 replaced."""
+        uid = session.handshake.uid
+        line = line.decode("utf-8", errors="replace")
+        try:
+            tup = decode_record(line)
+            if isinstance(tup, Verdict):
+                raise ProtocolError("unexpected verdict from client")
+        except ProtocolError as exc:
+            verdict = Verdict(uid, -1, 0, False, None, str(exc))
+        else:
+            if isinstance(tup, Handshake) or tup.uid != uid:
+                reason = "duplicate handshake" if isinstance(tup, Handshake) else "uid mismatch"
+                return self.refuse(session, reason)
+            verdict = session.verify(tup)
+        reply = encode_record(verdict)
+        return session, reply, ("RX " + line, "TX " + reply)
+
+    def refuse(self, session: RegulatorSession | None, reason: str) -> Answer:
+        """End ``session`` (None: a connection before its handshake) with a
+        logged verdict that answers no tuple."""
+        if session is not None:
+            self.close(session)
+        uid = "?" if session is None else session.handshake.uid
+        reply = encode_record(Verdict(uid, -1, 0, False, None, reason))
+        return None, reply, ("TX " + reply,)
+
+    def close(self, session: RegulatorSession) -> None:
+        """End ``session`` and free its uid, unless a newer session holds it."""
+        uid = session.handshake.uid
+        if self.sessions.get(uid) is session:
+            del self.sessions[uid]
+
+    def file(self, record) -> RegulatorSession | None:
+        """File a logged RX record in replay. A tuple returns its uid's open
+        session, the one that answered it; a handshake opens its uid's
+        session, and any other record files nowhere: both return None."""
+        if isinstance(record, Handshake):
+            self.sessions[record.uid] = RegulatorSession(record)
+        elif isinstance(record, (CrTuple, PvTuple)):
+            session = self.sessions.get(record.uid)
+            if session is None:
+                raise ProtocolError(f"tuple for unknown session {record.uid!r}")
+            return session
 
 
 # --- wire format -----------------------------------------------------------

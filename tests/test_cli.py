@@ -228,6 +228,14 @@ class TestAlign:
                 checkpoints_s=(0.2, 20.0), repeats=1,
             )
 
+    def test_repeated_checkpoint_rejected(self):
+        # a repeated checkpoint's row counted each repeat twice: 2 hits of 2 runs
+        with pytest.raises(ValueError, match="checkpoint 5.0s is repeated"):
+            cmd_align(
+                attacked_scenario(), reference_params(), seed=3,
+                checkpoints_s=(5.0, 5.0), repeats=2,
+            )
+
     def test_checkpoint_beyond_window_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             cmd_align(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -16,6 +17,7 @@ from dpalarm.protocol import (
     Handshake,
     ProtocolError,
     PvTuple,
+    Regulator,
     RegulatorSession,
     UtilitySession,
     Verdict,
@@ -439,6 +441,79 @@ class TestRegulatorSession:
         assert sess.verify(good) == Verdict(
             uid="u0", w=0, rho_hat=0, matched=True, t_res_hat=3.0, threshold=100.0
         )
+
+
+class TestRegulatorRefusals:
+    """Each refusal of the regulator core: its exact reason, that it answers
+    no tuple (w = -1), and that only the refusal is logged."""
+
+    HS = Handshake(uid="u0", mode="cr", d=3, p=3, epoch_len=10, params=make_params())
+    PV = PvTuple(uid="u0", w=0, t_res=1.0, t_cov=0.5, alpha_hat=0.05, rho=0)
+
+    @staticmethod
+    def _refusal(answer, uid, reason):
+        session, reply, log = answer
+        assert session is None and log == ("TX " + reply,)
+        assert reply == (
+            f'{{"v":1,"uid":"{uid}","w":-1,"rho_hat":0,"matched":0,"reason":{json.dumps(reason)}}}'
+        )
+
+    def _opened(self, regulator, hs=None):
+        session, reply, log = regulator.open(encode_record(hs or self.HS).encode())
+        assert reply is None and log == ("RX " + encode_record(hs or self.HS),)
+        return session
+
+    def test_first_record_must_be_a_handshake(self):
+        regulator = Regulator()
+        for first in (self.PV, Verdict(uid="u0", w=0, rho_hat=0, matched=True)):
+            answer = regulator.open(encode_record(first).encode())
+            self._refusal(answer, "?", "first record must be a handshake")
+        assert regulator.sessions == {}
+
+    def test_mode_not_allowed(self):
+        answer = Regulator("pv").open(encode_record(self.HS))
+        self._refusal(answer, "?", "mode 'cr' not allowed by this regulator")
+
+    def test_uid_with_open_session_refused_until_closed(self):
+        regulator = Regulator()
+        first = self._opened(regulator)
+        self._refusal(regulator.open(encode_record(self.HS)), "?", "uid 'u0' already has an open session")
+        regulator.close(first)
+        assert self._opened(regulator) is not first
+
+    def test_unexpected_verdict_from_client(self):
+        regulator = Regulator()
+        session = self._opened(regulator)
+        line = encode_record(Verdict(uid="u0", w=0, rho_hat=1, matched=True))
+        after, reply, log = regulator.answer(session, line.encode())
+        assert after is session and regulator.sessions == {"u0": session}
+        assert reply == '{"v":1,"uid":"u0","w":-1,"rho_hat":0,"matched":0,"reason":"unexpected verdict from client"}'
+        assert log == ("RX " + line, "TX " + reply)
+
+    @pytest.mark.parametrize("reason", ["duplicate handshake", "uid mismatch"])
+    def test_line_that_ends_the_session(self, reason):
+        regulator = Regulator()
+        session = self._opened(regulator)
+        line = self.HS if reason == "duplicate handshake" else dataclasses.replace(self.PV, uid="u1")
+        self._refusal(regulator.answer(session, encode_record(line).encode()), "u0", reason)
+        assert regulator.sessions == {}
+
+    def test_close_of_an_ended_session_keeps_the_new_one(self):
+        regulator = Regulator()
+        old = self._opened(regulator)
+        regulator.refuse(old, "record longer than 65536 bytes")
+        new = self._opened(regulator)
+        regulator.close(old)  # the ended connection is closed after the uid reconnected
+        assert regulator.sessions == {"u0": new}
+
+    def test_replay_files_a_tuple_under_its_uids_session(self):
+        regulator = Regulator()
+        with pytest.raises(ProtocolError, match="tuple for unknown session 'u0'"):
+            regulator.file(self.PV)
+        assert regulator.file(self.HS) is None
+        session = regulator.sessions["u0"]
+        assert regulator.file(self.PV) is session
+        assert regulator.file(Verdict(uid="u0", w=0, rho_hat=0, matched=True)) is None
 
 
 class TestRegulatorDuplicateTracking:
