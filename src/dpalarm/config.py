@@ -114,12 +114,13 @@ def parse_params_text(text: str) -> tuple[PrivacyParams, ScenarioConfig]:
         k, v = line.split("=", 1)
         kv[k.strip()] = v.strip()
 
+    def need(key: str, default: float | None = None) -> str | float:
+        if default is None and key not in kv:
+            raise ValueError(f"params file missing required key {key!r}")
+        return kv.get(key, default)
+
     def fget(key: str, default: float | None = None) -> float:
-        if key not in kv:
-            if default is None:
-                raise ValueError(f"params file missing required key {key!r}")
-            return default
-        return float(kv[key])
+        return float(need(key, default))
 
     def iget(key: str, default: int | None = None) -> int:
         value = fget(key, default)
@@ -147,9 +148,14 @@ def parse_params_text(text: str) -> tuple[PrivacyParams, ScenarioConfig]:
     )
     attack = None
     if "attack_kind" in kv:
+        targets = need("attack_targets")
+        try:
+            target_set = frozenset(int(i) for i in targets.split(","))
+        except ValueError:
+            raise ValueError(f"params key 'attack_targets' must list integers, got {targets!r}") from None
         attack = AttackSpec(
             kind=kv["attack_kind"],
-            targets=frozenset(int(i) for i in kv["attack_targets"].split(",")),
+            targets=target_set,
             magnitude=fget("attack_magnitude"),
             t_start=iget("attack_t_start"),
             t_end=iget("attack_t_end"),

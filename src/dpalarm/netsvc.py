@@ -30,7 +30,6 @@ from .ekf import residuals_from_csv
 from .pipeline import epoch_stream, residual_stream, utility_session
 from .privacy import PrivacyParams
 from .protocol import (
-    CrTuple,
     ProtocolError,
     Regulator,
     RegulatorSession,
@@ -38,7 +37,6 @@ from .protocol import (
     decode_record,
     encode_record,
     verify_cr_stack,
-    verify_pv,
 )
 
 logger = logging.getLogger(__name__)
@@ -421,9 +419,10 @@ def run_utility_client(
 
     The record source is the built-in plant+filter simulation, or a residual
     CSV when ``csv_source`` is given. Dimension mismatches against the
-    handshake abort before the first tuple. Connection loss triggers bounded
-    reconnect attempts (exponential backoff); a final failure returns the
-    partial summary with ``completed=False``.
+    handshake abort before the first tuple. Only the first connect is
+    retried, after each of ``retry_delays``; a connection lost mid-run is not
+    re-opened. Any failure returns the partial summary with
+    ``completed=False`` and its error, such as ``connection lost at epoch w``.
     """
     summary = ClientSummary(uid=uid, completed=False)
     try:
@@ -544,25 +543,22 @@ def replay_audit(audit_path: str | Path) -> list[tuple[str, str]]:
     """Re-run verification over the logged tuples.
 
     Returns (logged_verdict, replayed_verdict) pairs in log order, one per
-    decodable tuple record; RX tuples and their TX verdicts are logged
-    atomically, so pairing is positional. A faithful log replays byte-exactly;
-    such a pair holds the one string twice.
+    decodable tuple record that a TX line follows: RX tuples and their TX
+    verdicts are logged atomically, so each TX line pairs with the newest
+    tuple that has none yet. A faithful log replays byte-exactly; such a pair
+    holds the one string twice.
 
     Each RX record is filed through ``Regulator.file``, under the rule the
-    live regulator answered it by. The log is read in chunks of
-    ``REPLAY_CHUNK`` tuples. Whether a tuple fits its session
-    (``RegulatorSession.mismatch_reason``) and a CR tuple's numbers do not
-    depend on session state, so each tuple's fit is checked once as it is
-    read, and each chunk verifies its fitting CR tuples in one
-    ``verify_cr_stack`` call per session; admission and duplicate tracking
-    then run in log order, in ``RegulatorSession.verify``.
+    live regulator answered it by, and each tuple is prepared
+    (``RegulatorSession.prepare``) as it is read. The log is replayed in
+    chunks of ``REPLAY_CHUNK`` tuples, each when the next tuple arrives: a
+    chunk verifies its fitting CR tuples in one ``verify_cr_stack`` call per
+    session, then admits its tuples in log order through
+    ``RegulatorSession.verify``.
     """
     regulator = Regulator()
     pairs: list[tuple[str, str]] = []
-    pending: str | None = None  # replayed verdict awaiting its logged TX line
-    chunk: list = []  # TX records and [session, tuple, verdict once admitted] items, in log order
-    stacks: dict[RegulatorSession, list] = {}  # the chunk's items that reach verify_cr
-    n_tuples = 0
+    chunk: list[list] = []  # [session, tuple, verdict once admitted, logged TX line]
     with open(audit_path, "r", encoding="utf-8", newline="\n") as fh:
         for raw in fh:
             raw = raw.rstrip("\n")
@@ -573,7 +569,9 @@ def replay_audit(audit_path: str | Path) -> list[tuple[str, str]]:
             except ValueError as exc:
                 raise ProtocolError(f"malformed audit line: {raw!r}") from exc
             if direction == "TX":
-                chunk.append(record)
+                # the newest tuple's if it has none; refusals, undecodable lines stay unpaired
+                if chunk and chunk[-1][3] is None:
+                    chunk[-1][3] = record
                 continue
             if direction != "RX":
                 raise ProtocolError(f"unknown audit direction {direction!r}")
@@ -583,36 +581,26 @@ def replay_audit(audit_path: str | Path) -> list[tuple[str, str]]:
                 continue  # undecodable tuple; its rejection TX stays unpaired
             session = regulator.file(obj)
             if session is not None:  # a tuple
-                reason = session.mismatch_reason(obj)
-                if reason is not None:
-                    item = [session, obj, Verdict.rejection(obj, reason)]
-                elif isinstance(obj, CrTuple):
-                    item = [session, obj, None]
-                    stacks.setdefault(session, []).append(item)
-                else:
-                    item = [session, obj, verify_pv(obj, session.handshake.p)]
-                chunk.append(item)
-                n_tuples += 1
-                if n_tuples % REPLAY_CHUNK == 0:
-                    pending = _replay_chunk(chunk, stacks, pairs, pending)
-                    chunk, stacks = [], {}
-    _replay_chunk(chunk, stacks, pairs, pending)
+                if len(chunk) == REPLAY_CHUNK:
+                    _replay_chunk(chunk, pairs)
+                    chunk = []
+                chunk.append([session, obj, session.prepare(obj), None])
+    _replay_chunk(chunk, pairs)
     return pairs
 
 
-def _replay_chunk(chunk: list, stacks: dict, pairs: list[tuple[str, str]], pending: str | None) -> str | None:
-    """Replay one chunk in log order; returns the verdict still awaiting its TX line."""
+def _replay_chunk(chunk: list[list], pairs: list[tuple[str, str]]) -> None:
+    """Verify a chunk's tuples in log order, pairing each with its logged TX line."""
+    stacks: dict[RegulatorSession, list] = {}
+    for item in chunk:
+        if item[2] is None:  # a fitting CR tuple
+            stacks.setdefault(item[0], []).append(item)
     for session, items in stacks.items():
         verdicts = verify_cr_stack([item[1] for item in items], session.handshake.p)
         for item, verdict in zip(items, verdicts):
             item[2] = verdict
-    for item in chunk:
-        if type(item) is str:  # a TX line; unpaired ones (handshake errors) carry no tuple
-            if pending is not None:
-                # a verdict that replays byte-exactly is kept once, not twice
-                pairs.append((item, item) if pending == item else (item, pending))
-                pending = None
-        else:
-            session, tup, verdict = item
-            pending = encode_record(session.verify(tup, verdict))
-    return pending
+    for session, tup, verdict, logged in chunk:
+        replayed = encode_record(session.verify(tup, verdict))
+        if logged is not None:
+            # a verdict that replays byte-exactly is kept once, not twice
+            pairs.append((logged, logged if replayed == logged else replayed))

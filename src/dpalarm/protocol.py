@@ -281,11 +281,9 @@ class UtilitySession:
         alpha_hat = inversion.alpha_hat
 
         sigma = params.sigma
-        nc = float(disc.tau_cov_hat @ disc.tau_cov_hat) / sigma**2
-        q = noncentral_chi2_quantile(alpha_hat, params.p, nc)
-        threshold = sigma**2 * q
+        t_cov = disc.t_cov_hat / sigma**2  # the noncentrality of t_res's law
+        threshold = sigma**2 * noncentral_chi2_quantile(alpha_hat, params.p, t_cov)
         t_res = disc.t_res_hat / sigma**2
-        t_cov = disc.t_cov_hat / sigma**2
         rho_hat_local = int(disc.t_res_hat > threshold)
 
         if self.mode == "cr":
@@ -430,34 +428,37 @@ class RegulatorSession:
         else:
             self._out_of_order.add(w)
 
-    def mismatch_reason(self, tup: CrTuple | PvTuple) -> str | None:
-        """Why a tuple does not fit the handshake's mode, dimensions or tuple
-        types, or None; unlike the other rejections this one needs no state."""
+    def prepare(self, tup: CrTuple | PvTuple) -> Verdict | None:
+        """The verdict ``tup`` gets once admitted that no session state can
+        change: a rejection when it does not fit the handshake's mode,
+        dimensions or tuple types, else ``verify_pv`` at the handshake's p;
+        None for a fitting CR tuple, which ``verify_cr`` verifies."""
         hs = self.handshake
         if isinstance(tup, CrTuple):
-            d = hs.d
             if hs.mode != "cr":
-                return "mode mismatch"
-            if np.shape(tup.s_hat) != (d, d) or np.shape(tup.tau_rg) != (d,):
-                return (
-                    f"dimension mismatch: s_hat {np.shape(tup.s_hat)}, "
-                    f"tau_rg {np.shape(tup.tau_rg)}, handshake d={d}"
-                )
-            return None
-        if isinstance(tup, PvTuple):
-            return None if hs.mode == "pv" else "mode mismatch"
-        return "unknown tuple type"
+                reason = "mode mismatch"
+            elif np.shape(tup.s_hat) != (hs.d, hs.d) or np.shape(tup.tau_rg) != (hs.d,):
+                reason = (f"dimension mismatch: s_hat {np.shape(tup.s_hat)}, "
+                          f"tau_rg {np.shape(tup.tau_rg)}, handshake d={hs.d}")
+            else:
+                return None
+        elif isinstance(tup, PvTuple):
+            if hs.mode == "pv":
+                return verify_pv(tup, hs.p)
+            reason = "mode mismatch"
+        else:
+            reason = "unknown tuple type"
+        return Verdict.rejection(tup, reason)
 
     def verify(self, tup: CrTuple | PvTuple, verdict: Verdict | None = None) -> Verdict:
         """Admit a tuple and verify it, or reject it.
 
         The tuple's uid must be the handshake's: the caller files each tuple
         under its own uid's session (``Regulator`` ends a session on a foreign
-        uid before this point). ``verdict`` is the one the tuple gets once past the
-        duplicate and backlog checks, when the caller has it already: the
-        ``mismatch_reason`` rejection, else ``verify_cr``/``verify_pv`` at the
-        handshake's p. A replay that checks each tuple's fit once and verifies
-        a batch of CR tuples in one stack passes it.
+        uid before this point). ``verdict`` is the one the tuple gets once past
+        the duplicate and backlog checks, when the caller has it already: a
+        replay prepares each tuple as it reads it and verifies a batch of CR
+        tuples in one stack.
         """
         self.tuples += 1
         if self._seen(tup.w):
@@ -465,12 +466,7 @@ class RegulatorSession:
         elif self._backlog_full(tup.w):
             verdict = Verdict.rejection(tup, f"out-of-order backlog full: {MAX_OUT_OF_ORDER} epochs")
         elif verdict is None:
-            reason = self.mismatch_reason(tup)
-            if reason is not None:
-                verdict = Verdict.rejection(tup, reason)
-            else:
-                p = self.handshake.p
-                verdict = verify_cr(tup, p) if isinstance(tup, CrTuple) else verify_pv(tup, p)
+            verdict = self.prepare(tup) or verify_cr(tup, self.handshake.p)
         if verdict.reason is None:
             self._mark_seen(tup.w)
         if not verdict.matched:

@@ -60,6 +60,18 @@ class TestParamsFile:
         with pytest.raises(ValueError, match="eps_cov"):
             parse_params_text("eps_r=0.5\n")
 
+    def test_attack_without_targets_rejected(self):
+        text = format_params_text(reference_params(), default_scenario()) + "attack_kind=bias\n"
+        with pytest.raises(ValueError, match="missing required key 'attack_targets'"):
+            parse_params_text(text)
+
+    @pytest.mark.parametrize("targets", ["x", "0,", "0;1"])
+    def test_non_integer_attack_target_rejected(self, targets):
+        sc = default_scenario(attack=AttackSpec("bias", frozenset({0}), 0.5, 100, 900))
+        text = format_params_text(reference_params(), sc).replace("attack_targets=0", f"attack_targets={targets}")
+        with pytest.raises(ValueError, match="'attack_targets' must list integers"):
+            parse_params_text(text)
+
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
             parse_params_text("this is not a pair\n")

@@ -835,8 +835,8 @@ class TestReplayChunks:
         assert sum(r is None for r in reasons) == 7
 
         calls = []
-        fit = RegulatorSession.mismatch_reason
-        monkeypatch.setattr(RegulatorSession, "mismatch_reason",
+        fit = RegulatorSession.prepare
+        monkeypatch.setattr(RegulatorSession, "prepare",
                             lambda self, tup: calls.append(tup.w) or fit(self, tup))
         monkeypatch.setattr(netsvc, "REPLAY_CHUNK", chunk)
         pairs = _replays_exactly(server.config.audit_path, len(live) - 1)
@@ -852,6 +852,21 @@ class TestReplayChunks:
             monkeypatch.setattr(netsvc, "REPLAY_CHUNK", 5)
             assert _replays_exactly(audit, 24) == whole
             monkeypatch.undo()
+
+
+    @pytest.mark.parametrize("chunk", [1, 2, 1024])
+    def test_lost_tx_line_unpairs_only_its_tuple(self, tmp_path, monkeypatch, chunk):
+        audit = tmp_path / "audit.log"
+        assert not run_harness(TestHarness()._config(n=2, epochs=12), audit).partial
+        lines = audit.read_text().splitlines(keepends=True)
+        tx = [k for k, line in enumerate(lines) if line.split(" ", 2)[1] == "TX"]
+        assert len(tx) == 24 and tx[-1] == len(lines) - 1
+        monkeypatch.setattr(netsvc, "REPLAY_CHUNK", chunk)
+        whole = _replays_exactly(audit, 24)
+        damaged = tmp_path / "damaged.log"
+        for n, k in enumerate(tx):  # n = 23 cuts the last line
+            damaged.write_text("".join(lines[:k] + lines[k + 1 :]))
+            assert _replays_exactly(damaged, 23) == whole[:n] + whole[n + 1 :]
 
 
 class TestReplayFollowsTheLiveSession:
