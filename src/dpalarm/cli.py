@@ -381,21 +381,17 @@ def cmd_bounds_report(
 def cmd_ingest(csv_path: Path) -> tuple[list[ResidualRecord], int]:
     """Validate an externally produced residual stream.
 
-    Schema violations (bad header, field counts, non-monotone t) raise with
-    the row number; rows with a non-finite residual or covariance entry, or
-    whose covariance ``stats.eig_factorize`` refuses (asymmetric or not PSD
-    within its tolerance), are rejected and counted, the rest form the
-    validated stream.
+    Schema violations (bad header, field counts, unparsable fields,
+    non-increasing t) raise ValueError naming the file row; rows with a
+    non-finite residual or covariance entry, or whose covariance
+    ``stats.eig_factorize`` refuses (asymmetric or not PSD within its
+    tolerance), are rejected and counted, the rest form the validated stream.
     """
     with open(csv_path, "r", encoding="utf-8") as fh:
         records = residuals_from_csv(fh)
     ok: list[ResidualRecord] = []
     rejected = 0
-    last_t = None
-    for i, rec in enumerate(records, start=2):
-        if last_t is not None and rec.t <= last_t:
-            raise ValueError(f"row {i}: step index {rec.t} not increasing (prev {last_t})")
-        last_t = rec.t
+    for rec in records:
         # eig_factorize passes a covariance with some NaN entries
         if not (np.isfinite(rec.r).all() and np.isfinite(rec.s).all()):
             rejected += 1

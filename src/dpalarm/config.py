@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .plant import AttackSpec, PlantSpec, default_spec
-from .privacy import PrivacyParams
+from .privacy import PARAM_KEYS, PrivacyParams
 
 __all__ = [
     "ScenarioConfig",
@@ -73,13 +73,20 @@ def reference_params(
 
 
 def format_params_text(params: PrivacyParams, scenario: ScenarioConfig) -> str:
-    """Render params + scenario as flat key=value lines."""
-    lines = []
+    """Render params + scenario as flat key=value lines.
+
+    Raises:
+        ValueError: a plant covariance that is not a multiple of the
+            identity, which the file's ``q_scale``/``r_scale`` cannot hold.
+    """
     flat = params.to_flat()
     flat["eps_r_waiver"] = int(params.eps_r_waiver)
-    for k, v in flat.items():
-        lines.append(f"{k}={v!r}" if isinstance(v, str) else f"{k}={v}")
+    lines = [f"{k}={v}" for k, v in flat.items()]
     sp = scenario.plant
+    for name in ("process_cov", "measurement_cov"):
+        cov = getattr(sp, name)
+        if not np.array_equal(cov, cov[0, 0] * np.eye(len(cov))):
+            raise ValueError(f"plant.{name} is not a multiple of the identity")
     lines += [
         f"dt={sp.dt}",
         f"plant_a={sp.a}",
@@ -128,17 +135,9 @@ def parse_params_text(text: str) -> tuple[PrivacyParams, ScenarioConfig]:
             raise ValueError(f"params key {key!r} must be a whole number, got {kv[key]!r}")
         return int(value)
 
-    params = PrivacyParams(
-        eps_cov=fget("eps_cov"),
-        eps_r=fget("eps_r"),
-        gamma_cov=fget("gamma_cov"),
-        gamma_r=fget("gamma_r"),
-        delta_l=fget("delta_l"),
-        delta_r=fget("delta_r"),
-        p=iget("p"),
-        sigma=fget("sigma", 0.0),
-        eps_r_waiver=bool(iget("eps_r_waiver", 0)),
-    )
+    flat = {key: fget(key) if kind is float else iget(key)
+            for key, kind in PARAM_KEYS if key in kv or key != "sigma"}
+    params = PrivacyParams(**flat, eps_r_waiver=bool(iget("eps_r_waiver", 0)))
     plant = default_spec(
         dt=fget("dt", 0.1),
         a=fget("plant_a", 1.0),

@@ -172,11 +172,13 @@ def residuals_to_csv(records: Iterable[ResidualRecord], fh: io.TextIOBase) -> No
 
 
 def residuals_from_csv(fh: io.TextIOBase) -> list[ResidualRecord]:
-    """Read records written by residuals_to_csv (no validation beyond shape).
+    """Read records written by residuals_to_csv (no validation beyond schema).
 
     Each row is parsed into one float array; a record's ``r`` and ``s`` are
-    views of it. Use the ingest command for schema/PSD validation of external
-    streams.
+    views of it. A bad header, a row with the wrong field count or an
+    unparsable field, and a step index not above the previous row's raise
+    ValueError naming the file row. Use the ingest command for PSD
+    validation of external streams.
     """
     header = fh.readline().strip().split(",")
     if not header or header[0] != "t":
@@ -190,6 +192,7 @@ def residuals_from_csv(fh: io.TextIOBase) -> list[ResidualRecord]:
     if header != expected:
         raise ValueError(f"bad residual header: {header}")
     records = []
+    last_t = None
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()
         if not line:
@@ -197,6 +200,13 @@ def residuals_from_csv(fh: io.TextIOBase) -> list[ResidualRecord]:
         parts = line.split(",")
         if len(parts) != 1 + d + d * d:
             raise ValueError(f"row {lineno}: expected {1 + d + d * d} fields, got {len(parts)}")
-        vals = np.array(parts[1:], dtype=float)
-        records.append(ResidualRecord(t=int(parts[0]), r=vals[:d], s=vals[d:].reshape(d, d)))
+        try:
+            t = int(parts[0])
+            vals = np.array(parts[1:], dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"row {lineno}: {exc}") from None
+        if last_t is not None and t <= last_t:
+            raise ValueError(f"row {lineno}: step index {t} not increasing (prev {last_t})")
+        last_t = t
+        records.append(ResidualRecord(t=t, r=vals[:d], s=vals[d:].reshape(d, d)))
     return records

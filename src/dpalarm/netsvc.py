@@ -246,8 +246,9 @@ class RegulatorServer:
         session = conn.session
         if session is not None:
             self.regulator.close(session)
-            logger.info("session %s done: %d tuples, %d mismatches",
-                        session.handshake.uid, session.tuples, session.mismatches)
+            logger.info("session %s done: %d tuples, %d mismatches, %d rejected",
+                        session.handshake.uid, session.tuples, session.mismatches,
+                        session.rejections)
 
     def _close_idle(self) -> None:
         """Close sessions silent for ``IDLE_LIMIT_S``, rejected ones after ``_LINGER_S``."""
@@ -363,7 +364,7 @@ class RegulatorServer:
         elif reply is None:  # the handshake opened the session
             conn.session = session
             hs = session.handshake
-            logger.info("session %s mode=%s d=%d p=%d", hs.uid, hs.mode, hs.d, hs.p)
+            logger.info("session %s mode=%s d=%d p=%d", hs.uid, hs.mode, hs.d, hs.params.p)
         else:
             self._send(conn, reply)
 
@@ -427,22 +428,20 @@ def run_utility_client(
     summary = ClientSummary(uid=uid, completed=False)
     try:
         session = utility_session(scenario, params, mode, seed, utility_index, uid)
-    except ValueError as exc:
+        if csv_source is not None:
+            with open(csv_source, "r", encoding="utf-8") as fh:
+                records = residuals_from_csv(fh)
+        else:
+            records = residual_stream(scenario, n_epochs * scenario.epoch_len, seed, utility_index)
+        if records and records[0].d != scenario.plant.d:
+            raise ValueError(
+                f"source dimension d={records[0].d} does not match scenario d={scenario.plant.d}"
+            )
+        aggs = epoch_stream(records, scenario)[:n_epochs]
+        if len(aggs) < n_epochs:
+            raise ValueError(f"source yields only {len(aggs)} full epochs, need {n_epochs}")
+    except (OSError, ValueError) as exc:  # the session or its record source
         summary.error = str(exc)
-        return summary
-    if csv_source is not None:
-        with open(csv_source, "r", encoding="utf-8") as fh:
-            records = residuals_from_csv(fh)
-    else:
-        records = residual_stream(scenario, n_epochs * scenario.epoch_len, seed, utility_index)
-    if records and records[0].d != scenario.plant.d:
-        summary.error = (
-            f"source dimension d={records[0].d} does not match scenario d={scenario.plant.d}"
-        )
-        return summary
-    aggs = epoch_stream(records, scenario)[:n_epochs]
-    if len(aggs) < n_epochs:
-        summary.error = f"source yields only {len(aggs)} full epochs, need {n_epochs}"
         return summary
 
     try:
@@ -596,7 +595,7 @@ def _replay_chunk(chunk: list[list], pairs: list[tuple[str, str]]) -> None:
         if item[2] is None:  # a fitting CR tuple
             stacks.setdefault(item[0], []).append(item)
     for session, items in stacks.items():
-        verdicts = verify_cr_stack([item[1] for item in items], session.handshake.p)
+        verdicts = verify_cr_stack([item[1] for item in items], session.handshake.params.p)
         for item, verdict in zip(items, verdicts):
             item[2] = verdict
     for session, tup, verdict, logged in chunk:

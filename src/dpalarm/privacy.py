@@ -23,6 +23,7 @@ import numpy as np
 from .stats import CovFactorization, eig_factorize, laplace_sample, whiten
 
 __all__ = [
+    "PARAM_KEYS",
     "PrivacyParams",
     "PerturbedCovariance",
     "Disclosure",
@@ -35,6 +36,11 @@ __all__ = [
 ]
 
 EIGENVALUE_FLOOR_FRAC = 1e-8
+# The declared parameters in wire order, each with its wire kind: the
+# handshake's encoder and decoder and the params file all read this list.
+# sigma, last, may be absent, which declares the calibrated minimum.
+PARAM_KEYS = (("eps_cov", float), ("eps_r", float), ("gamma_cov", float), ("gamma_r", float),
+              ("delta_l", float), ("delta_r", float), ("p", int), ("sigma", float))
 
 
 def gdp_sigma(
@@ -60,7 +66,8 @@ def gdp_sigma(
         raise ValueError(
             f"eps_r={eps_r} outside the classical (0,1) regime; pass waive_eps_range=True"
         )
-    return float(delta_r / eps_r * np.sqrt(2.0 * np.log(1.25 / gamma_r)))
+    # Python floats: a product past float range is inf, as a quotient is, not a warning
+    return float(delta_r / eps_r) * float(np.sqrt(2.0 * np.log(1.25 / gamma_r)))
 
 
 def gaussian_sum_bound(sigma: float, eps_r: float, delta_r: float, p: int) -> float:
@@ -143,30 +150,8 @@ class PrivacyParams:
         return laplace_max_bound(self.delta_l, self.eps_cov, self.gamma_cov, d)
 
     def to_flat(self) -> dict:
-        return {
-            "eps_cov": self.eps_cov,
-            "eps_r": self.eps_r,
-            "gamma_cov": self.gamma_cov,
-            "gamma_r": self.gamma_r,
-            "delta_l": self.delta_l,
-            "delta_r": self.delta_r,
-            "p": self.p,
-            "sigma": self.sigma,
-        }
-
-    @classmethod
-    def from_flat(cls, obj: dict) -> "PrivacyParams":
-        return cls(
-            eps_cov=float(obj["eps_cov"]),
-            eps_r=float(obj["eps_r"]),
-            gamma_cov=float(obj["gamma_cov"]),
-            gamma_r=float(obj["gamma_r"]),
-            delta_l=float(obj["delta_l"]),
-            delta_r=float(obj["delta_r"]),
-            p=int(obj["p"]),
-            sigma=float(obj.get("sigma", 0.0)),
-            eps_r_waiver=True,
-        )
+        """The ``PARAM_KEYS`` fields by name, in wire order."""
+        return {key: getattr(self, key) for key, _ in PARAM_KEYS}
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,14 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import AlphaInversion, BoundInputs, NormTracker, equivalent_alpha
 from .ekf import ResidualRecord
-from .privacy import PrivacyParams, sequential_disclose
+from .privacy import PARAM_KEYS, PrivacyParams, sequential_disclose
 from .stats import (
     chi2_test,
     eig_factorize,
@@ -54,6 +54,9 @@ __all__ = [
     "Handshake",
     "aggregate_epoch",
     "UtilitySession",
+    "verify_cr_stack",
+    "verify_cr",
+    "verify_pv",
     "RegulatorSession",
     "Regulator",
     "encode_record",
@@ -161,9 +164,8 @@ class Handshake:
     uid: str
     mode: str  # "cr" | "pv"
     d: int
-    p: int
     epoch_len: int
-    params: PrivacyParams
+    params: PrivacyParams  # the wire's top-level "p" is params.p
 
 
 @dataclass(slots=True)
@@ -220,7 +222,6 @@ class UtilitySession:
             uid=self.uid,
             mode=self.mode,
             d=self.d,
-            p=self.params.p,
             epoch_len=self.epoch_len,
             params=self.params,
         )
@@ -404,7 +405,8 @@ class RegulatorSession:
         self._next = 0
         self._out_of_order: set[int] = set()
         self.tuples = 0  # each gets one verdict
-        self.mismatches = 0
+        self.rejections = 0  # verdicts with a reason
+        self.mismatches = 0  # verified tuples whose rho_hat differs from their rho
 
     def _seen(self, w: int) -> bool:
         return self._first <= w < self._next or w in self._out_of_order
@@ -444,7 +446,7 @@ class RegulatorSession:
                 return None
         elif isinstance(tup, PvTuple):
             if hs.mode == "pv":
-                return verify_pv(tup, hs.p)
+                return verify_pv(tup, hs.params.p)
             reason = "mode mismatch"
         else:
             reason = "unknown tuple type"
@@ -466,11 +468,13 @@ class RegulatorSession:
         elif self._backlog_full(tup.w):
             verdict = Verdict.rejection(tup, f"out-of-order backlog full: {MAX_OUT_OF_ORDER} epochs")
         elif verdict is None:
-            verdict = self.prepare(tup) or verify_cr(tup, self.handshake.p)
-        if verdict.reason is None:
+            verdict = self.prepare(tup) or verify_cr(tup, self.handshake.params.p)
+        if verdict.reason is not None:
+            self.rejections += 1
+        else:
             self._mark_seen(tup.w)
-        if not verdict.matched:
-            self.mismatches += 1
+            if not verdict.matched:
+                self.mismatches += 1
         return verdict
 
 
@@ -584,21 +588,19 @@ def _fmt_floats(a) -> str:
     return "[" + ",".join([_fmt_float(x) for x in np.asarray(a, dtype=float).ravel().tolist()]) + "]"
 
 
-def _fmt_number(v) -> str:
-    """A float as in _fmt_float, an int (or bool) as its integer literal."""
-    return _fmt_float(v) if isinstance(v, (float, np.floating)) else str(int(v))
-
-
 # One fixed-layout formatter per record type. Keys come in wire order, ints
 # (bools included) as integer literals, floats with 17 significant digits;
 # the bytes are the wire's, so logged records replay byte for byte.
 
 
 def _handshake_line(h: Handshake) -> str:
-    params = ",".join(f"{_fmt_str(k)}:{_fmt_number(v)}" for k, v in h.params.to_flat().items())
+    params = ",".join(
+        f'"{key}":{_fmt_float(value) if kind is float else int(value)}'
+        for (key, kind), value in zip(PARAM_KEYS, h.params.to_flat().values())
+    )
     return (
         f'{{"v":{PROTOCOL_VERSION},"mode":{_fmt_str(h.mode)},"uid":{_fmt_str(h.uid)},'
-        f'"d":{int(h.d)},"p":{int(h.p)},"W":{int(h.epoch_len)},"params":{{{params}}}}}'
+        f'"d":{int(h.d)},"p":{int(h.params.p)},"W":{int(h.epoch_len)},"params":{{{params}}}}}'
     )
 
 
@@ -773,14 +775,14 @@ def decode_record(line: str | bytes) -> Handshake | CrTuple | PvTuple | Verdict:
         raw = obj["params"]
         if not isinstance(raw, dict):
             raise ProtocolError("handshake.params: expected object")
+        flat = {key: _need(raw, key, kind, "handshake.params")
+                for key, kind in PARAM_KEYS if key in raw or key != "sigma"}
         try:
-            params = PrivacyParams.from_flat(raw)
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            params = PrivacyParams(**flat, eps_r_waiver=True)
+        except ValueError as exc:  # a value out of its range, or sigma below its minimum
             raise ProtocolError(f"handshake.params: {exc}") from exc
-        for key, val in params.to_flat().items():
-            # e.g. "sigma": "nan", or a sigma_min that overflows
-            if isinstance(val, float) and not math.isfinite(val):
-                raise ProtocolError(f"handshake.params.{key}: non-finite number")
+        if not math.isfinite(params.sigma):  # a derived sigma_min that overflows
+            raise ProtocolError("handshake.params.sigma: non-finite number")
         if d < 1 or p < 1 or p > d or epoch_len < 1:
             raise ProtocolError(f"handshake: invalid dims d={d} p={p} W={epoch_len}")
         if p != params.p:
@@ -789,7 +791,6 @@ def decode_record(line: str | bytes) -> Handshake | CrTuple | PvTuple | Verdict:
             uid=_need(obj, "uid", str, "handshake"),
             mode=mode,
             d=d,
-            p=p,
             epoch_len=epoch_len,
             params=params,
         )

@@ -212,18 +212,32 @@ def _emit_record(fields):
     return "{" + ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in fields.items()) + "}"
 
 
+# The handshake's params in wire order, each with the kind it is written and read as.
+_PARAM_KINDS = {
+    "eps_cov": float,
+    "eps_r": float,
+    "gamma_cov": float,
+    "gamma_r": float,
+    "delta_l": float,
+    "delta_r": float,
+    "p": int,
+    "sigma": float,  # optional: absent, it is the calibrated minimum
+}
+
+
 def reference_encode_record(obj):
     """Reference ``protocol.encode_record``: one generic, type-dispatched emitter."""
     if isinstance(obj, Handshake):
+        params = obj.params
         return _emit_record(
             {
                 "v": PROTOCOL_VERSION,
                 "mode": obj.mode,
                 "uid": obj.uid,
                 "d": obj.d,
-                "p": obj.p,
+                "p": int(params.p),
                 "W": obj.epoch_len,
-                "params": obj.params.to_flat(),
+                "params": {key: kind(getattr(params, key)) for key, kind in _PARAM_KINDS.items()},
             }
         )
     if isinstance(obj, CrTuple):
@@ -366,14 +380,16 @@ def reference_decode_record(line: str | bytes) -> Handshake | CrTuple | PvTuple 
         raw = obj["params"]
         if not isinstance(raw, dict):
             raise ProtocolError("handshake.params: expected object")
+        flat = {}
+        for key, kind in _PARAM_KINDS.items():
+            if key in raw or key != "sigma":
+                flat[key] = _need(raw, key, kind, "handshake.params")
         try:
-            params = PrivacyParams.from_flat(raw)
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            params = PrivacyParams(**flat, eps_r_waiver=True)
+        except ValueError as exc:
             raise ProtocolError(f"handshake.params: {exc}") from exc
-        for key, val in params.to_flat().items():
-            # e.g. "sigma": "nan", or a sigma_min that overflows
-            if isinstance(val, float) and not math.isfinite(val):
-                raise ProtocolError(f"handshake.params.{key}: non-finite number")
+        if not math.isfinite(params.sigma):  # a sigma_min that overflows
+            raise ProtocolError("handshake.params.sigma: non-finite number")
         if d < 1 or p < 1 or p > d or epoch_len < 1:
             raise ProtocolError(f"handshake: invalid dims d={d} p={p} W={epoch_len}")
         if p != params.p:
@@ -382,7 +398,6 @@ def reference_decode_record(line: str | bytes) -> Handshake | CrTuple | PvTuple 
             uid=_need(obj, "uid", str, "handshake"),
             mode=mode,
             d=d,
-            p=p,
             epoch_len=epoch_len,
             params=params,
         )

@@ -26,7 +26,7 @@ from dpalarm.config import (
 from dpalarm.bounds import BoundReport
 from dpalarm.ekf import residuals_from_csv
 from dpalarm.pipeline import residual_stream, simulated_stream
-from dpalarm.plant import AttackSpec
+from dpalarm.plant import AttackSpec, default_spec
 from dpalarm.privacy import PrivacyParams
 from conftest import src_env
 
@@ -75,6 +75,24 @@ class TestParamsFile:
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
             parse_params_text("this is not a pair\n")
+
+    @pytest.mark.parametrize(
+        "field, cov",
+        [
+            ("process_cov", np.diag([1e-4, 5e-3])),
+            ("measurement_cov", 1e-2 * np.eye(3) + 1e-3 * (np.ones((3, 3)) - np.eye(3))),
+        ],
+    )
+    def test_covariance_the_file_cannot_hold_rejected(self, field, cov):
+        # the file holds q_scale / r_scale: a multiple of the identity only
+        sc = default_scenario(plant=default_spec(**{field: cov}))
+        with pytest.raises(ValueError, match=rf"^plant\.{field} is not a multiple of the identity$"):
+            format_params_text(reference_params(), sc)
+        with pytest.raises(ValueError, match=field):
+            params_hash(reference_params(), sc)
+        scaled = default_scenario(plant=default_spec(process_cov=3e-4 * np.eye(2)))
+        back = parse_params_text(format_params_text(reference_params(), scaled))[1].plant
+        assert np.array_equal(back.process_cov, scaled.plant.process_cov)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -336,6 +354,21 @@ class TestIngest:
         with pytest.raises(ValueError, match="row 3"):
             cmd_ingest(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,0.2,1.0", "step index 1 not increasing (prev 2)"),
+            ("3,x,1.0", "could not convert string to float: 'x'"),
+            ("2.5,0.2,1.0", "invalid literal for int() with base 10: '2.5'"),
+        ],
+    )
+    def test_error_names_the_file_row(self, tmp_path, row, message):
+        # blank lines count: the bad record is on line 5 of the file
+        path = self._write(tmp_path, ["t,r1,s11", "2,0.1,1.0", "", "", row])
+        with pytest.raises(ValueError) as info:
+            cmd_ingest(path)
+        assert str(info.value) == f"row 5: {message}"
+
     def test_non_psd_rows_counted(self, tmp_path):
         header = "t,r1,r2,s11,s12,s21,s22"
         rows = [
@@ -350,6 +383,14 @@ class TestIngest:
         ok, rejected = cmd_ingest(self._write(tmp_path, [header] + rows))
         assert rejected == 5
         assert [r.t for r in ok] == [1, 4]
+
+
+def test_client_missing_csv_is_session_incomplete(tmp_path, capsys):
+    source = f"csv:{tmp_path / 'none.csv'}"
+    argv = ["client", "--connect", "127.0.0.1:1", "--mode", "cr", "--source", source, "--epochs", "2"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("session incomplete: [Errno 2] No such file or directory")
 
 
 def _outputs(out_dir):

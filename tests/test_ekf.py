@@ -210,3 +210,17 @@ class TestResidualCsv:
         buf = io.StringIO("t,r1,badcol\n")
         with pytest.raises(ValueError):
             residuals_from_csv(buf)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,x,1.0", "could not convert string to float: 'x'"),
+            ("2.5,0.1,1.0", "invalid literal for int() with base 10: '2.5'"),
+            ("1,0.1,1.0", "step index 1 not increasing (prev 1)"),
+        ],
+    )
+    def test_row_errors_name_the_file_row(self, row, message):
+        buf = io.StringIO(f"t,r1,s11\n1,0.1,1.0\n\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            residuals_from_csv(buf)
+        assert str(info.value) == f"row 4: {message}"

@@ -118,6 +118,56 @@ class TestLoopback:
         assert "dimension" in summary.error
         assert summary.epochs == []
 
+    def test_csv_gap_returns_its_error(self, tmp_path):
+        # a step missing from the CSV: the client's summary carries the error
+        records = residual_stream(default_scenario(), 60, seed=3)
+        path = tmp_path / "gap.csv"
+        with open(path, "w") as fh:
+            residuals_to_csv(records[:13] + records[14:], fh)
+        summary = run_utility_client(
+            ("127.0.0.1", 1), quiet_params(), default_scenario(), "cr", seed=1,
+            n_epochs=3, csv_source=path, retry_delays=(),
+        )
+        assert not summary.completed and summary.epochs == []
+        assert summary.error == f"gap in step sequence: {records[12].t} -> {records[14].t}"
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (None, "No such file or directory"),  # no file at all
+            ("1,0,0,0,1,0,0,0,1,0,0,0,1\n2,0,0,0,1,0,0,0,1,0,0,0,x\n",
+             "row 3: could not convert string to float: 'x'"),
+        ],
+    )
+    def test_csv_unreadable_returns_its_error(self, tmp_path, text, error):
+        path = tmp_path / "in.csv"
+        if text is not None:
+            header = ["t", "r1", "r2", "r3"] + [f"s{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
+            path.write_text(",".join(header) + "\n" + text)
+        summary = run_utility_client(
+            ("127.0.0.1", 1), quiet_params(), default_scenario(), "cr", seed=1,
+            n_epochs=3, csv_source=path, retry_delays=(),
+        )
+        assert not summary.completed and summary.epochs == []
+        assert error in summary.error
+
+    def test_session_log_counts_rejections_apart(self, server, caplog):
+        caplog.set_level(logging.INFO, logger="dpalarm.netsvc")
+        # verified with rho_hat = 0 against the disclosed rho = 1: one mismatch
+        line = encode_record(CrTuple("logged", 0, np.eye(3), np.ones(3), 100.0, 1))
+        client = _Client(server, "logged")
+        try:
+            assert client.send(line).matched is False
+            assert client.send(line).reason == "duplicate epoch index"
+        finally:
+            client.close()
+
+        def done():
+            return [r.getMessage() for r in caplog.records if " done: " in r.getMessage()]
+
+        TestSessionLimit._wait_for(done)
+        assert done() == ["session logged done: 2 tuples, 1 mismatches, 1 rejected"]
+
     def test_p_mismatch_aborts(self, server):
         summary = run_utility_client(
             server.address, quiet_params(p=2), default_scenario(), "cr", seed=1,
@@ -175,7 +225,7 @@ class TestLoopback:
 class TestServerEdgeCases:
     def test_partial_record_discarded(self, server, tmp_path):
         params = quiet_params()
-        hs = Handshake(uid="px", mode="cr", d=3, p=3, epoch_len=10, params=params)
+        hs = Handshake(uid="px", mode="cr", d=3, epoch_len=10, params=params)
         with socket.create_connection(server.address) as sock:
             sock.sendall(encode_record(hs).encode() + b"\n")
             sock.sendall(b'{"v":1,"mode":"cr","uid":"px","w":0,"s_hat":[1')  # no newline
@@ -186,7 +236,7 @@ class TestServerEdgeCases:
 
     def test_malformed_tuple_gets_rejection(self, server):
         params = quiet_params()
-        hs = Handshake(uid="mx", mode="cr", d=3, p=3, epoch_len=10, params=params)
+        hs = Handshake(uid="mx", mode="cr", d=3, epoch_len=10, params=params)
         with socket.create_connection(server.address) as sock:
             fh = sock.makefile("rwb")
             fh.write(encode_record(hs).encode() + b"\n")
@@ -374,7 +424,7 @@ from dpalarm.config import reference_params
 from dpalarm.protocol import CrTuple, Handshake, PvTuple, encode_record
 
 def session(mode, uid, tuples):
-    hs = Handshake(uid=uid, mode=mode, d=3, p=3, epoch_len=10, params=reference_params())
+    hs = Handshake(uid=uid, mode=mode, d=3, epoch_len=10, params=reference_params())
     with socket.create_connection(server.address, timeout=30) as sock, sock.makefile("rwb") as fh:
         fh.write(encode_record(hs).encode() + b"\\n")
         verdicts = []
@@ -437,7 +487,7 @@ class TestHostileRecords:
         return encode_record(tup).encode()
 
     def test_overflowing_tuple_then_valid_tuple(self, server):
-        hs = Handshake(uid="ox", mode="cr", d=3, p=3, epoch_len=10, params=quiet_params())
+        hs = Handshake(uid="ox", mode="cr", d=3, epoch_len=10, params=quiet_params())
         big = b"1" + b"0" * 400
         with socket.create_connection(server.address, timeout=30) as sock:
             fh = sock.makefile("rwb")
@@ -457,7 +507,7 @@ class TestHostileRecords:
         assert len(tx) == 3 and "cr.thr" in tx[0]
 
     def test_overlong_line_rejected_and_session_closed(self, server):
-        hs = Handshake(uid="lx", mode="cr", d=3, p=3, epoch_len=10, params=quiet_params())
+        hs = Handshake(uid="lx", mode="cr", d=3, epoch_len=10, params=quiet_params())
         line = self._cr_line("lx", 0)
         at_limit = b" " * (MAX_RECORD_BYTES - len(line)) + line  # JSON allows leading blanks
         with socket.create_connection(server.address, timeout=30) as sock:
@@ -501,7 +551,7 @@ class TestHostileRecords:
         # ordinary verdict; replay now rejects the tuple
         from dpalarm import cli
 
-        hs = Handshake(uid="a", mode="cr", d=3, p=3, epoch_len=10, params=quiet_params())
+        hs = Handshake(uid="a", mode="cr", d=3, epoch_len=10, params=quiet_params())
         tup = CrTuple("a", 0, np.diag([1.7e308] * 3), np.ones(3), 5.0, 0)
         old = encode_record(Verdict(uid="a", w=0, rho_hat=0, matched=True))
         audit = tmp_path / "older.log"
@@ -520,7 +570,7 @@ class TestSessionLimit:
     def _open_session(server, uid):
         sock = socket.create_connection(server.address, timeout=30)
         fh = sock.makefile("rwb")
-        hs = Handshake(uid=uid, mode="cr", d=3, p=3, epoch_len=10, params=quiet_params())
+        hs = Handshake(uid=uid, mode="cr", d=3, epoch_len=10, params=quiet_params())
         fh.write(encode_record(hs).encode() + b"\n")
         fh.write(TestHostileRecords._cr_line(uid, 0) + b"\n")
         fh.flush()
@@ -615,7 +665,7 @@ class TestEventLoop:
         slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
         slow.connect(server.address)
         try:
-            hs = Handshake(uid="slow", mode="cr", d=3, p=3, epoch_len=10, params=quiet_params())
+            hs = Handshake(uid="slow", mode="cr", d=3, epoch_len=10, params=quiet_params())
             slow.sendall(encode_record(hs).encode() + b"\n")
             slow.setblocking(False)
             w, stalled, pending = 0, 0, b""
@@ -644,7 +694,7 @@ class TestEventLoop:
         assert 0 < verified <= in_kernel + 1
 
     def test_slow_reader_stalls_no_one(self, server):
-        hs = Handshake(uid="slow", mode="cr", d=3, p=3, epoch_len=10, params=quiet_params())
+        hs = Handshake(uid="slow", mode="cr", d=3, epoch_len=10, params=quiet_params())
         line = b"{}\n"  # rejected at once, so the verdicts back up in little time
         with pytest.raises(ProtocolError) as rejection:
             decode_record(line)
@@ -688,7 +738,7 @@ class _Client:
     def __init__(self, server, uid, mode="cr", d=3, p=3):
         self.sock = socket.create_connection(server.address, timeout=30)
         self.fh = self.sock.makefile("rwb")
-        hs = Handshake(uid=uid, mode=mode, d=d, p=p, epoch_len=10, params=quiet_params(p=p))
+        hs = Handshake(uid=uid, mode=mode, d=d, epoch_len=10, params=quiet_params(p=p))
         self.fh.write(encode_record(hs).encode() + b"\n")
         self.fh.flush()
 
@@ -730,7 +780,7 @@ class TestOneSessionPerUid:
             assert not first.send(_cr("dup", 0, rng)).rejected
             with socket.create_connection(server.address, timeout=30) as sock:
                 fh = sock.makefile("rwb")
-                hs = Handshake(uid="dup", mode="cr", d=3, p=3, epoch_len=10, params=quiet_params())
+                hs = Handshake(uid="dup", mode="cr", d=3, epoch_len=10, params=quiet_params())
                 fh.write(encode_record(hs).encode() + b"\n" + _cr("dup", 0, rng).encode() + b"\n")
                 fh.flush()
                 refused = decode_record(fh.readline().rstrip(b"\n"))
@@ -909,7 +959,7 @@ class TestReplayFollowsTheLiveSession:
         first = _Client(server, "a")
         try:
             assert not first.send(_cr("a", 0, rng)).rejected
-            hs = Handshake(uid="a", mode="cr", d=3, p=3, epoch_len=10, params=quiet_params())
+            hs = Handshake(uid="a", mode="cr", d=3, epoch_len=10, params=quiet_params())
             again = first.send(encode_record(hs))
             assert again.rejected and again.reason == "duplicate handshake"
             assert first.fh.readline() == b""

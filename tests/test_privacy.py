@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dpalarm.privacy import (
     perturb_covariance,
     sequential_disclose,
 )
+from dpalarm.protocol import Handshake, decode_record, encode_record
 from dpalarm.stats import eig_factorize, whiten
 from conftest import random_psd
 
@@ -91,8 +93,10 @@ class TestPrivacyParams:
         low = 0.5 * p.sigma_min
         with pytest.raises(ValueError, match="minimum"):
             dataclasses.replace(p, sigma=low)
+        wire = json.loads(encode_record(Handshake("u", "cr", 3, 10, p)))
+        wire["params"]["sigma"] = low
         with pytest.raises(ValueError, match="minimum"):
-            PrivacyParams.from_flat({**p.to_flat(), "sigma": low})
+            decode_record(json.dumps(wire))
         text = format_params_text(p, default_scenario())
         assert f"sigma={p.sigma}\n" in text
         with pytest.raises(ValueError, match="minimum"):
@@ -110,7 +114,7 @@ class TestPrivacyParams:
 
     def test_flat_roundtrip(self):
         p = PrivacyParams(2.0, 0.7, 0.05, 0.02, 0.3, 4.0, 2)
-        q = PrivacyParams.from_flat(p.to_flat())
+        q = decode_record(encode_record(Handshake("u", "cr", 3, 10, p))).params
         assert q.to_flat() == p.to_flat()
 
 

@@ -403,7 +403,7 @@ class TestPv:
 
 class TestRegulatorSession:
     def _handshake(self, mode="cr"):
-        return Handshake(uid="u0", mode=mode, d=3, p=3, epoch_len=10, params=make_params())
+        return Handshake(uid="u0", mode=mode, d=3, epoch_len=10, params=make_params())
 
     def test_duplicate_epoch_rejected(self, rng):
         sess = RegulatorSession(self._handshake())
@@ -415,6 +415,14 @@ class TestRegulatorSession:
         assert not first.rejected
         assert second.rejected
         assert "duplicate" in second.reason
+
+    def test_rejection_is_not_a_mismatch(self):
+        sess = RegulatorSession(self._handshake())
+        tup = CrTuple(uid="u0", w=0, s_hat=np.eye(3), tau_rg=np.ones(3), threshold=100.0, rho=0)
+        assert sess.verify(tup).matched
+        assert sess.verify(tup).reason == "duplicate epoch index"
+        assert sess.verify(dataclasses.replace(tup, w=1, rho=1)).matched is False
+        assert (sess.tuples, sess.mismatches, sess.rejections) == (3, 1, 1)
 
     def test_mode_mismatch_rejected(self):
         sess = RegulatorSession(self._handshake(mode="pv"))
@@ -447,7 +455,7 @@ class TestRegulatorRefusals:
     """Each refusal of the regulator core: its exact reason, that it answers
     no tuple (w = -1), and that only the refusal is logged."""
 
-    HS = Handshake(uid="u0", mode="cr", d=3, p=3, epoch_len=10, params=make_params())
+    HS = Handshake(uid="u0", mode="cr", d=3, epoch_len=10, params=make_params())
     PV = PvTuple(uid="u0", w=0, t_res=1.0, t_cov=0.5, alpha_hat=0.05, rho=0)
 
     @staticmethod
@@ -521,7 +529,7 @@ class TestRegulatorDuplicateTracking:
 
     @staticmethod
     def _session():
-        hs = Handshake(uid="u0", mode="pv", d=3, p=3, epoch_len=10, params=make_params())
+        hs = Handshake(uid="u0", mode="pv", d=3, epoch_len=10, params=make_params())
         return RegulatorSession(hs)
 
     @staticmethod
@@ -636,9 +644,9 @@ class TestWireFormat:
         assert back.matched is False and back.pvalue == 0.125
 
     def test_handshake_roundtrip(self):
-        hs = Handshake(uid="a", mode="pv", d=3, p=2, epoch_len=10, params=make_params(p=2))
+        hs = Handshake(uid="a", mode="pv", d=3, epoch_len=10, params=make_params(p=2))
         back = decode_record(encode_record(hs))
-        assert back.uid == "a" and back.mode == "pv" and back.p == 2
+        assert back.uid == "a" and back.mode == "pv" and back.params.p == 2
         assert back.params.to_flat() == hs.params.to_flat()
 
     def test_truncated_rejected(self, rng):
@@ -687,7 +695,7 @@ class TestDecoderHardening:
     BIG = "1" + "0" * 400  # an integer literal beyond float range
 
     def _handshake_line(self):
-        hs = Handshake(uid="u", mode="pv", d=3, p=3, epoch_len=10, params=make_params())
+        hs = Handshake(uid="u", mode="pv", d=3, epoch_len=10, params=make_params())
         return encode_record(hs)
 
     def test_overflow_scalar_field(self):
@@ -711,14 +719,53 @@ class TestDecoderHardening:
             decode_record(line.replace('"p":3,"sigma"', '"p":1e400,"sigma"'))
 
     def test_nonfinite_handshake_params(self):
-        # accepted by from_flat, but the handshake could not be re-encoded
+        # a string is not a wire number, whatever float() would make of it
         line = self._handshake_line()
         obj = json.loads(line)
         obj["params"]["sigma"] = "nan"
-        with pytest.raises(ProtocolError, match=r"handshake\.params\.sigma: non-finite"):
+        with pytest.raises(ProtocolError, match=r"handshake\.params\.sigma: expected number, got str"):
             decode_record(json.dumps(obj))
-        with pytest.raises(ProtocolError, match=r"handshake\.params\.eps_r: non-finite"):
+        with pytest.raises(ProtocolError, match=r"handshake\.params\.eps_r: expected number, got str"):
             decode_record(line.replace('"eps_r":0.5', '"eps_r":"inf"'))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("p", 3.7, "expected integer, got float"),
+            ("p", True, "expected integer, got bool"),
+            ("sigma", "2e5", "expected number, got str"),
+            ("eps_cov", "100", "expected number, got str"),
+            ("eps_r", None, "missing field"),
+        ],
+    )
+    def test_handshake_params_typed_like_wire_numbers(self, key, value, message):
+        # each of these was once read through float()/int() and logged re-encoded
+        obj = json.loads(self._handshake_line())
+        if value is None:
+            del obj["params"][key]
+        else:
+            obj["params"][key] = value
+        if key == "p":
+            obj["p"] = int(value)  # a top-level p that agrees with what int() made of it
+        with pytest.raises(ProtocolError, match=rf"^handshake\.params\.{key}: {message}$"):
+            decode_record(json.dumps(obj))
+
+    def test_handshake_without_sigma_declares_its_minimum(self):
+        obj = json.loads(self._handshake_line())
+        del obj["params"]["sigma"]
+        params = decode_record(json.dumps(obj)).params
+        assert params.sigma == params.sigma_min
+        assert params.eps_r_waiver
+
+    @pytest.mark.parametrize("eps_r", [1e-320, 1e-308])
+    def test_handshake_derived_sigma_overflow_refused(self, eps_r):
+        # delta_r / eps_r overflows (1e-320), or its product with the
+        # sqrt-log factor does (1e-308): the sigma_min this declares is inf
+        obj = json.loads(self._handshake_line())
+        obj["params"]["eps_r"] = eps_r
+        del obj["params"]["sigma"]
+        with pytest.raises(ProtocolError, match=r"^handshake\.params\.sigma: non-finite number$"):
+            decode_record(json.dumps(obj))
 
     def test_handshake_p_must_match_params_p(self):
         line = self._handshake_line()
@@ -825,7 +872,7 @@ def wire_records(draw):
     uid, w = draw(WIRE_TEXT), draw(WIRE_INTS)
     if kind == "handshake":
         return Handshake(
-            uid=uid, mode=draw(st.sampled_from(["cr", "pv"])), d=draw(WIRE_INTS), p=draw(WIRE_INTS),
+            uid=uid, mode=draw(st.sampled_from(["cr", "pv"])), d=draw(WIRE_INTS),
             epoch_len=draw(WIRE_INTS), params=draw(privacy_params()),
         )
     if kind == "cr":

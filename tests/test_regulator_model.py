@@ -87,7 +87,7 @@ LINES = st.tuples(
 
 
 def handshake_line(uid, mode, p):
-    hs = Handshake(uid=uid, mode=mode, d=3, p=p, epoch_len=10, params=reference_params(p=p))
+    hs = Handshake(uid=uid, mode=mode, d=3, epoch_len=10, params=reference_params(p=p))
     return encode_record(hs).encode()
 
 
@@ -158,7 +158,7 @@ class RegulatorModel(RuleBasedStateMachine):
         else:
             session, reply, log = answer
             assert reply is None and log == ("RX " + line.decode(),)
-            assert (session.handshake.uid, session.handshake.mode, session.handshake.p) == (uid, mode, p)
+            assert (session.handshake.uid, session.handshake.mode, session.handshake.params.p) == (uid, mode, p)
             self.open_sessions.append(session)
 
     @precondition(lambda self: self.open_sessions)

@@ -42,7 +42,7 @@ FUZZ = settings(
 
 # valid records, as the dicts that mutations start from
 HANDSHAKES = {
-    mode: Handshake(uid="u", mode=mode, d=3, p=3, epoch_len=10, params=reference_params())
+    mode: Handshake(uid="u", mode=mode, d=3, epoch_len=10, params=reference_params())
     for mode in ("cr", "pv")
 }
 BASES = [
