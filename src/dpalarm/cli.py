@@ -89,6 +89,10 @@ class SweepConfig:
             raise ValueError("sweep grid must be nonempty")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        for i, value in enumerate(self.grid):
+            # its cell files and summary rows would overwrite an earlier cell's
+            if f"{value:g}" in [f"{u:g}" for u in self.grid[:i]]:
+                raise ValueError(f"sweep value {value:g} is repeated")
 
     def params_for(self, value: float) -> PrivacyParams:
         # sigma re-derives from its minimum only when the swept parameter
@@ -241,6 +245,8 @@ def cmd_align(
     attack = scenario.attack
     if attack is None:
         raise ValueError("alignment needs an attacked scenario")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     sec_per_epoch = scenario.epoch_seconds
     max_cp = max(checkpoints_s)
     if max_cp > ATTACK_WINDOW_S:
@@ -306,6 +312,9 @@ def cmd_false_alarms(
     """DP false-alarm rate at the regulator over attack-free epochs."""
     if scenario.attack is not None:
         raise ValueError("false-alarm scenario must not contain an attack")
+    for name, value in (("repeats", repeats), ("n_epochs", n_epochs)):
+        if value < 1:  # a rate over no epochs
+            raise ValueError(f"{name} must be >= 1")
     fired = 0
     total = 0
     for rep in range(repeats):

@@ -437,7 +437,7 @@ def run_utility_client(
             raise ValueError(
                 f"source dimension d={records[0].d} does not match scenario d={scenario.plant.d}"
             )
-        aggs = epoch_stream(records, scenario)[:n_epochs]
+        aggs = epoch_stream(records[: n_epochs * scenario.epoch_len], scenario)
         if len(aggs) < n_epochs:
             raise ValueError(f"source yields only {len(aggs)} full epochs, need {n_epochs}")
     except (OSError, ValueError) as exc:  # the session or its record source

@@ -15,6 +15,7 @@ observed eigenvalue / residual 2-norm), never silently self-calibrate.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -126,6 +127,10 @@ class PrivacyParams:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {v}")
+        # a float or bool p would run at that many degrees of freedom, while
+        # the handshake writes int(p)
+        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Integral):
+            raise ValueError(f"p must be an integer, got {self.p!r}")
         if self.p < 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
         sigma_min = gdp_sigma(

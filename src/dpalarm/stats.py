@@ -1,10 +1,11 @@
 """Statistical kernels for residual-based alarm testing.
 
-Covariance eigenfactorization and whitening (of one matrix, or as the squared
-whitened norms of a stack of matrices in one LAPACK call), the chi-square alarm test, the
-noncentral chi-square CDF and upper quantile (thin checked wrappers over the
-``scipy.special`` ufuncs ``chndtr`` / ``chndtrix``), plus the Laplace sampler
-of the covariance phase.
+Covariance eigenfactorization, under one check of symmetry and PSD that runs
+on a stack of matrices in one LAPACK call (a single matrix is a stack of one),
+and whitening (of one residual, or as the squared whitened norms of a stack),
+the chi-square alarm test, the noncentral chi-square CDF and upper quantile
+(thin checked wrappers over the ``scipy.special`` ufuncs ``chndtr`` /
+``chndtrix``), plus the Laplace sampler of the covariance phase.
 
 Factorization, whitening and the Laplace sampler run on numpy alone; the
 chi-square test, quantiles and CDFs load ``scipy.special`` at their first
@@ -16,6 +17,7 @@ All functions are pure and safe for unrestricted parallel use.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,73 +76,124 @@ class TestOutcome:
 # Below this magnitude a finite x has 0.5 * (x + x) == x bit for bit, so
 # symmetrising a bitwise symmetric matrix is the identity.
 _EXACT_HALF_SUM_MAX = 2.0**1023
+# whiten's refusal, which whitened_energies returns for the same row
+_NOT_POSITIVE = "retained eigenvalue <= 0; clamp eigenvalues upstream before whitening"
 
 
-def _check_symmetric(s: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    scale = max(1.0, float(abs(s).max()))
-    asym = float(abs(s - s.T).max())
-    if asym > tol * scale:
-        raise ValueError(f"matrix not symmetric: max asymmetry {asym:.3e}")
-    return 0.5 * (s + s.T)
+def _checked_eigh(s: np.ndarray) -> tuple[list[list[float]], np.ndarray, list[ValueError | None]]:
+    """Eigenpairs of each covariance of an (n, d, d) stack, or why it is refused.
+
+    The one rule by which a covariance is accepted. LAPACK gets 0.5 * (s + s^T)
+    in one ``np.linalg.eigh`` call: s itself when every matrix is bitwise
+    symmetric with finite entries below 2**1023 in magnitude. A matrix is
+    refused, in this order, when its largest asymmetry exceeds 1e-8 *
+    max(1, largest magnitude), when LAPACK fails on it, or when its smallest
+    eigenvalue is below -1e-8 * max(trace, 1) of the symmetrised matrix.
+
+    NaN entries pass: a NaN asymmetry or eigenvalue fails no comparison, so the
+    eigenpairs carry the NaN. A symmetrised matrix with a non-finite entry is
+    factorized alone, since one such matrix can make a stacked call raise
+    ``LinAlgError`` for all; a stack that does not converge is factorized row
+    by row.
+
+    Returns the ascending eigenvalues as lists of floats, the (n, d, d)
+    eigenvectors as columns, and per row None or its ValueError (a refused
+    row's eigenpairs mean nothing). Needs d >= 1.
+    """
+    n = len(s)
+    errors: list = [None] * n
+    alone: list[int] | range = []
+    # bitwise: -0.0 facing 0.0 is symmetric by value but not after symmetrising
+    if s.tobytes() == s.transpose(0, 2, 1).tobytes() and math.hypot(*s.ravel().tolist()) < _EXACT_HALF_SUM_MAX:
+        stack = sym = s
+    else:
+        # the check and the symmetrisation run on floats, which round as the
+        # arrays do; a sum past the float maximum is inf, silently, and its
+        # matrix is factorized alone
+        half, d = [], s.shape[1]
+        for i, row in enumerate(s.reshape(n, d * d).tolist()):
+            col = [x for j in range(d) for x in row[j::d]]
+            # only a pair unequal by value can fail the check, and a non-finite
+            # entry passes it (an inf scale or a NaN asymmetry fails no comparison)
+            if row != col and all(map(math.isfinite, row)):
+                asym = max(map(abs, map(operator.sub, row, col)))
+                if asym > 1e-8 * max(1.0, *map(abs, row)):
+                    errors[i] = ValueError(f"matrix not symmetric: max asymmetry {asym:.3e}")
+            half.append([0.5 * (a + b) for a, b in zip(row, col)])
+        alone = [i for i, row in enumerate(half) if not all(map(math.isfinite, row))]
+        sym = np.array(half).reshape(s.shape)
+        # finite stand-ins keep those matrices from failing the stacked call
+        stack = np.where(np.isfinite(sym), sym, 0.0) if alone else sym
+    try:
+        lam, vec = np.linalg.eigh(stack)  # ascending
+    except np.linalg.LinAlgError:  # a finite matrix did not converge
+        lam, vec, alone = np.zeros(s.shape[:2]), np.zeros(s.shape), range(n)
+    for i in alone:
+        try:
+            lam[i], vec[i] = np.linalg.eigh(sym[i])
+        except np.linalg.LinAlgError as exc:
+            errors[i] = errors[i] or exc
+
+    rows = lam.tolist()
+    for i, ascending in enumerate(rows):
+        lam_min = ascending[0]
+        # max(trace, 1) >= 1 (or NaN, which fails the test), so only an
+        # eigenvalue below -1e-8 can fail it: the trace is read only then
+        if lam_min < -1e-8 and errors[i] is None:
+            trace = float(sym[i].trace())
+            if lam_min < -1e-8 * max(trace, 1.0):
+                errors[i] = ValueError(
+                    f"matrix not PSD: smallest eigenvalue {lam_min:.3e} "
+                    f"below tolerance for trace {trace:.3e}"
+                )
+    return rows, vec, errors
 
 
 def eig_factorize(s: np.ndarray, count: int | None = None) -> CovFactorization:
     """Factorize a symmetric PSD matrix with a deterministic sign convention.
 
+    The matrix is checked and eigendecomposed by ``_checked_eigh``, the rule
+    the regulator's ``whitened_energies`` applies, as a stack of one.
     Eigenvalues come out descending, clipped at 0 from below. ``count`` is
     the number p of leading components retained for whitening; None keeps
-    all d. The matrix passed to LAPACK is 0.5 * (s + s^T): s itself when s is
-    bitwise symmetric with finite entries below 2**1023 in magnitude, else
-    built (after the symmetry check) on the arrays.
+    all d.
 
-    NaN entries pass without raising: a NaN asymmetry or eigenvalue fails no
-    comparison, so the factorization carries the NaN. Callers that need a
-    finite covariance check for it themselves, as ``cli.cmd_ingest`` does.
+    NaN entries pass without raising, and the factorization carries the NaN.
+    Callers that need a finite covariance check for it themselves, as
+    ``cli.cmd_ingest`` does.
 
     Raises:
-        ValueError: non-square or non-symmetric input, an eigenvalue below
-            -1e-8 * max(trace, 1), or a count outside [1, d].
+        ValueError: non-square input, a matrix ``_checked_eigh`` refuses, or
+            a count outside [1, d].
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
-    d = s.shape[0]
-    # bitwise: -0.0 facing 0.0 is symmetric by value but not after symmetrising
-    exact = d and s.tobytes() == s.T.tobytes()
-    if not (exact and math.hypot(*s.ravel().tolist()) < _EXACT_HALF_SUM_MAX):
-        s = _check_symmetric(s)
-    lam, vec = np.linalg.eigh(s)  # ascending
-    lam_desc = lam.tolist()[::-1]
-    lam_min = lam_desc[-1]
-    # max(trace, 1) >= 1 (or NaN, which fails the test), so only an eigenvalue
-    # below -1e-8 can fail it: the trace is read only then
-    if lam_min < -1e-8:
-        trace = float(s.trace())
-        if lam_min < -1e-8 * max(trace, 1.0):
-            raise ValueError(
-                f"matrix not PSD: smallest eigenvalue {lam_min:.3e} "
-                f"below tolerance for trace {trace:.3e}"
-            )
+    if not s.size:
+        s.max()  # numpy's error for an empty maximum, which the symmetry check always raised
+    (ascending,), vec, (error,) = _checked_eigh(s[None])
+    if error is not None:
+        raise error
 
     # Sign convention: largest-magnitude component of each column positive.
-    # index(max) is np.argmax's first maximum; a column holding a NaN keeps
-    # its sign, as np.argmax would pick the NaN.
+    # max keeps the first maximum, as np.argmax does; a column holding a NaN
+    # keeps its sign, as np.argmax would pick the NaN.
     cols = []
-    for col in reversed(vec.T.tolist()):
-        mags = list(map(abs, col))
-        if col[mags.index(max(mags))] < 0.0 and not math.isnan(sum(mags)):
+    for col in reversed(vec[0].T.tolist()):
+        if max(col, key=abs) < 0.0 and not math.isnan(sum(map(abs, col))):
             col = [-x for x in col]
         cols.append(col)
 
+    d = len(ascending)
     p = d if count is None else int(count)
     if not 1 <= p <= d:
         raise ValueError(f"count must be in [1, {d}], got {count}")
 
     return CovFactorization(
-        # C-contiguous, as a transposed view would take another matmul path
-        vectors=np.array(cols).T.copy(),
+        # C-contiguous, as a strided view would take another matmul path
+        vectors=np.array(cols, order="F").T,
         # np.maximum(x, 0.0) clamp: -0.0 becomes 0.0, NaN passes
-        lambdas=np.array([0.0 if x <= 0.0 else x for x in lam_desc]),
+        lambdas=np.array([0.0 if x <= 0.0 else x for x in reversed(ascending)]),
         p=p,
     )
 
@@ -159,9 +212,7 @@ def whiten(r: np.ndarray, fac: CovFactorization) -> np.ndarray:
         raise ValueError(f"residual length {r.shape} does not match d={fac.d}")
     lam = fac.lambdas[: fac.p]
     if any(x <= 0.0 for x in lam.tolist()):
-        raise ValueError(
-            "retained eigenvalue <= 0; clamp eigenvalues upstream before whitening"
-        )
+        raise ValueError(_NOT_POSITIVE)
     return (fac.vectors[:, : fac.p].T @ r) / np.sqrt(lam)
 
 
@@ -169,16 +220,15 @@ def whitened_energies(s: np.ndarray, r: np.ndarray, count: int) -> list[float | 
     """||whiten(r_i, eig_factorize(s_i, count))||^2 for each row of a stack.
 
     ``s`` is an (n, d, d) stack of matrices and ``r`` an (n, d) stack of
-    residuals. The finite symmetrised matrices go to LAPACK in one
-    ``np.linalg.eigh`` call, and the checks of ``eig_factorize`` and
-    ``whiten`` run per row, in their order, on floats. The sign convention is
-    skipped, as squaring cancels it; the projection and the sum of squares
-    run on the memory layouts of the two-call path, so they take the same
-    BLAS paths and each row gets its bits.
+    residuals. ``_checked_eigh`` checks and eigendecomposes the whole stack,
+    by the rule ``eig_factorize`` applies to one matrix; the count check, a
+    refusal of eigenvalues that are not all finite (which ``eig_factorize``
+    passes) and the checks of ``whiten`` then run per row, on floats. The
+    sign convention is skipped, as squaring cancels it; the projection and
+    the sum of squares run on the memory layouts of the two-call path, so
+    they take the same BLAS paths and each row gets its bits.
 
-    Returns, per row, the float or the ValueError the two calls would raise.
-    A symmetrised matrix with a non-finite entry is factorized alone, since
-    one such matrix can make a stacked call raise ``LinAlgError`` for all.
+    Returns, per row, the float or its ValueError.
     """
     s = np.asarray(s, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -186,54 +236,13 @@ def whitened_energies(s: np.ndarray, r: np.ndarray, count: int) -> list[float | 
     if s.ndim != 3 or s.shape[1] != s.shape[2] or not s.shape[1]:
         return [ValueError(f"expected a square matrix, got shape {s.shape[1:]}")] * n
     d, p = s.shape[1], int(count)
-    out: list = [None] * n
-    st = s.transpose(0, 2, 1)
-    alone: list[int] | range = []
-    # eig_factorize hands LAPACK 0.5 * (s + s^T): s itself when every matrix
-    # is bitwise symmetric with finite entries below 2**1023
-    if s.tobytes() == st.tobytes() and math.hypot(*s.ravel().tolist()) < _EXACT_HALF_SUM_MAX:
-        stack = sym = s
-    else:
-        # entries near the float maximum overflow to inf here, silently: such
-        # a row fails the symmetry check or is factorized alone below, and
-        # gets its typed error there
-        with np.errstate(over="ignore"):
-            sym = 0.5 * (s + st)
-            # only a matrix with a pair unequal by value can fail the check
-            for i in np.flatnonzero((s != st).any(axis=(1, 2))).tolist():
-                try:
-                    _check_symmetric(s[i])
-                except ValueError as exc:
-                    out[i] = exc
-        finite = np.isfinite(sym).all(axis=(1, 2))
-        alone = np.flatnonzero(~finite).tolist()
-        stack = np.where(finite[:, None, None], sym, 0.0) if alone else sym
-    try:
-        lam, vec = np.linalg.eigh(stack)  # ascending
-    except np.linalg.LinAlgError:  # a finite matrix did not converge
-        lam, vec, alone = np.zeros((n, d)), np.zeros((n, d, d)), range(n)
-    for i in alone:
-        try:
-            lam[i], vec[i] = np.linalg.eigh(sym[i])
-        except np.linalg.LinAlgError as exc:
-            out[i] = out[i] or exc
+    lam_rows, vec, out = _checked_eigh(s)
 
     good = []
-    lam_rows = lam.tolist()
     count_ok, r_ok = 1 <= p <= d, r.shape[1:] == (d,)
     for i, ascending in enumerate(lam_rows):
         if out[i] is not None:
             continue
-        lam_min = ascending[0]
-        # max(trace, 1) >= 1 (or NaN), so only an eigenvalue below -1e-8 can fail
-        if lam_min < -1e-8:
-            trace = float(sym[i].trace())
-            if lam_min < -1e-8 * max(trace, 1.0):
-                out[i] = ValueError(
-                    f"matrix not PSD: smallest eigenvalue {lam_min:.3e} "
-                    f"below tolerance for trace {trace:.3e}"
-                )
-                continue
         if not count_ok:
             out[i] = ValueError(f"count must be in [1, {d}], got {count}")
         # NaN or +inf (eigh of an overflowed matrix); -inf is clamped to 0 as
@@ -245,9 +254,7 @@ def whitened_energies(s: np.ndarray, r: np.ndarray, count: int) -> list[float | 
         # the smallest retained eigenvalue, as the row is ascending and free of
         # NaN; the clamp at 0 leaves the test as is: x <= 0 exactly when max(x, 0) <= 0
         elif ascending[d - p] <= 0.0:
-            out[i] = ValueError(
-                "retained eigenvalue <= 0; clamp eigenvalues upstream before whitening"
-            )
+            out[i] = ValueError(_NOT_POSITIVE)
         else:
             good.append(i)
     if good:

@@ -220,6 +220,16 @@ class TestSweep:
                 scenario=default_scenario(),
             )
 
+    @pytest.mark.parametrize(
+        "grid, repeated",
+        # the second cell would overwrite the first's files and summary rows:
+        # equal values, and values equal as the :g names print them
+        [((50.0, 50.0), "50"), ((10.0, 0.1234561, 0.1234562), "0.123456")],
+    )
+    def test_repeated_value_rejected(self, grid, repeated):
+        with pytest.raises(ValueError, match=f"sweep value {repeated} is repeated"):
+            self._config(grid=grid)
+
 
 def attacked_scenario(alpha=0.05):
     # attack begins right after warm-up: trace step 101 -> epoch 0
@@ -273,6 +283,14 @@ class TestAlign:
                 checkpoints_s=(900.0,),
             )
 
+    def test_no_repeats_rejected(self):
+        # every rate would divide by zero repeats
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            cmd_align(
+                attacked_scenario(), reference_params(), seed=0,
+                checkpoints_s=(5.0,), repeats=0,
+            )
+
 
 class TestFalseAlarms:
     def test_tiny_alpha_rate_zero(self):
@@ -285,6 +303,14 @@ class TestFalseAlarms:
     def test_attacked_scenario_rejected(self):
         with pytest.raises(ValueError):
             cmd_false_alarms(attacked_scenario(), reference_params(), seed=0)
+
+    @pytest.mark.parametrize("name, repeats, n_epochs", [("repeats", 0, 60), ("n_epochs", 2, 0)])
+    def test_empty_run_rejected(self, name, repeats, n_epochs):
+        # a rate over no epochs divided by zero
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            cmd_false_alarms(
+                default_scenario(), reference_params(), seed=0, repeats=repeats, n_epochs=n_epochs
+            )
 
     def test_stability_across_seeds(self):
         rates = [

@@ -50,3 +50,37 @@ def test_package_exports_are_in_their_modules_all():
             exported = _all(_tree(PACKAGE / f"{node.module}.py"))
             missing += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in exported]
     assert missing == []
+
+
+def _bound(body: list[ast.stmt]) -> dict[str, ast.stmt]:
+    """Names a module or class body binds at its top level, to their statement."""
+    names = {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, ast.Assign):
+            names.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name, node) for alias in node.names)
+    return names
+
+
+def test_benchmark_traced_names_exist():
+    # the tracer skips a name it cannot find, which blinds its per-layer
+    # metric; read its table from source, as the benchmark is not imported here
+    tracing = _tree(PACKAGE.parents[1] / "perfbench" / "tracing.py")
+    table = next(
+        node.value for node in tracing.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets)
+    )
+    targets = [tuple(elt.value for elt in value.elts[:2]) for value in table.values]
+    assert ("dpalarm.protocol", "UtilitySession.process_epoch") in targets
+    missing = []
+    for module, attr in targets:
+        package, _, name = module.partition(".")
+        node = _tree(PACKAGE / f"{name}.py") if package == "dpalarm" else None
+        for part in attr.split("."):
+            node = _bound(getattr(node, "body", [])).get(part)
+        if node is None:
+            missing.append(f"{module}.{attr}")
+    assert missing == []

@@ -131,6 +131,20 @@ class TestLoopback:
         assert not summary.completed and summary.epochs == []
         assert summary.error == f"gap in step sequence: {records[12].t} -> {records[14].t}"
 
+    def test_csv_gap_after_the_sent_epochs_is_not_read(self, server, tmp_path):
+        # the client aggregates only the epochs it sends: a step missing from
+        # epoch 3 leaves a 3-epoch session complete
+        records = residual_stream(default_scenario(), 60, seed=3)
+        path = tmp_path / "gap.csv"
+        with open(path, "w") as fh:
+            residuals_to_csv(records[:35] + records[36:], fh)
+        summary = run_utility_client(
+            server.address, quiet_params(), default_scenario(), "cr", seed=1,
+            n_epochs=3, csv_source=path, retry_delays=(0.05,),
+        )
+        assert summary.completed and summary.error is None
+        assert [e[0] for e in summary.epochs] == [0, 1, 2]
+
     @pytest.mark.parametrize(
         "text, error",
         [

@@ -102,6 +102,12 @@ class TestPrivacyParams:
         with pytest.raises(ValueError, match="minimum"):
             parse_params_text(text.replace(f"sigma={p.sigma}", f"sigma={low}"))
 
+    @pytest.mark.parametrize("p", [2.5, 2.0, True])
+    def test_non_integer_p_rejected(self, p):
+        # a float p ran at that many degrees of freedom while the handshake said int(p)
+        with pytest.raises(ValueError, match="p must be an integer"):
+            PrivacyParams(100.0, 1e-3, 0.01, 0.01, 0.1, 50.0, p)
+
     def test_sigma_above_minimum_ok(self):
         p = PrivacyParams(1.0, 0.5, 0.01, 0.01, 0.1, 1.0, 3, sigma=100.0)
         assert p.sigma == 100.0

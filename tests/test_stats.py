@@ -193,7 +193,11 @@ class TestLeanKernelsMatchReference:
         # np.argmax takes a column's first NaN, so a NaN after a negative
         # largest component keeps the column's sign; so do ties and zeros
         vec = np.array([[-0.9, 0.5, -0.0], [np.nan, -0.5, 0.0], [0.1, 0.2, -1.0]])
-        monkeypatch.setattr(np.linalg, "eigh", lambda s: (np.array([0.5, 1.0, 2.0]), vec.copy()))
+        lam = np.array([0.5, 1.0, 2.0])
+        # eig_factorize hands LAPACK a stack of one, the reference a matrix
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda s: (lam, vec.copy()) if s.ndim == 2 else (lam[None], vec[None].copy())
+        )
         assert _outcome(eig_factorize, np.eye(3), None) == _outcome(reference_eig_factorize, np.eye(3), None)
 
     def test_nan_covariance_passes(self):
