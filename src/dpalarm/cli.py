@@ -87,8 +87,9 @@ class SweepConfig:
             raise ValueError(f"sweep parameter must be one of {SWEEPABLE}, got {self.param!r}")
         if not self.grid:
             raise ValueError("sweep grid must be nonempty")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        for name in ("repeats", "n_epochs"):
+            if getattr(self, name) < 1:  # a sweep of no runs or no rows
+                raise ValueError(f"{name} must be >= 1")
         for i, value in enumerate(self.grid):
             # its cell files and summary rows would overwrite an earlier cell's
             if f"{value:g}" in [f"{u:g}" for u in self.grid[:i]]:

@@ -11,8 +11,6 @@ import hashlib
 import io
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .plant import AttackSpec, PlantSpec, default_spec
 from .privacy import PARAM_KEYS, PrivacyParams
 
@@ -73,26 +71,17 @@ def reference_params(
 
 
 def format_params_text(params: PrivacyParams, scenario: ScenarioConfig) -> str:
-    """Render params + scenario as flat key=value lines.
-
-    Raises:
-        ValueError: a plant covariance that is not a multiple of the
-            identity, which the file's ``q_scale``/``r_scale`` cannot hold.
-    """
+    """Render params + scenario as flat key=value lines."""
     flat = params.to_flat()
     flat["eps_r_waiver"] = int(params.eps_r_waiver)
     lines = [f"{k}={v}" for k, v in flat.items()]
     sp = scenario.plant
-    for name in ("process_cov", "measurement_cov"):
-        cov = getattr(sp, name)
-        if not np.array_equal(cov, cov[0, 0] * np.eye(len(cov))):
-            raise ValueError(f"plant.{name} is not a multiple of the identity")
     lines += [
         f"dt={sp.dt}",
         f"plant_a={sp.a}",
         f"plant_b={sp.b}",
-        f"q_scale={float(sp.process_cov[0, 0])}",
-        f"r_scale={float(sp.measurement_cov[0, 0])}",
+        f"q_scale={float(sp.q_scale)}",
+        f"r_scale={float(sp.r_scale)}",
         f"epoch_len={scenario.epoch_len}",
         f"alpha={scenario.alpha}",
         f"warmup_steps={scenario.warmup_steps}",
@@ -142,8 +131,8 @@ def parse_params_text(text: str) -> tuple[PrivacyParams, ScenarioConfig]:
         dt=fget("dt", 0.1),
         a=fget("plant_a", 1.0),
         b=fget("plant_b", 0.5),
-        process_cov=fget("q_scale", 1e-4) * np.eye(2),
-        measurement_cov=fget("r_scale", 1e-2) * np.eye(3),
+        q_scale=fget("q_scale", 1e-4),
+        r_scale=fget("r_scale", 1e-2),
     )
     attack = None
     if "attack_kind" in kv:

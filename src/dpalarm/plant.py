@@ -7,9 +7,11 @@ sensors (class constants of ``PlantSpec``):
     x2' = x2 + dt * (-a*sin(x1) - b*x2)
     y   = [x1, x2, sin(x1) + 0.5*x2]
 
-The plant has no control input. Process noise N(0, Q) enters the transition,
-measurement noise N(0, R_meas) the observation. Attacks modify measurements
-only (sensor-level false data injection); plant state is never touched.
+The plant has no control input. Process noise N(0, q_scale I) enters the
+transition, measurement noise N(0, r_scale I) the observation; the two scales
+are the plant's only noise settings, as they are the params file's
+(``q_scale``, ``r_scale``). Attacks modify measurements only (sensor-level
+false data injection); plant state is never touched.
 
 Everything here is a pure function of explicit state plus a seeded rng, so
 independent traces can run in parallel freely.
@@ -18,6 +20,7 @@ independent traces can run in parallel freely.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable
 
@@ -43,41 +46,36 @@ class SimulationFault(RuntimeError):
     """Raised when the state propagation produces non-finite values."""
 
 
-def _check_psd(mat: np.ndarray, name: str, dim: int) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (dim, dim):
-        raise ValueError(f"{name} must be {dim}x{dim}, got {mat.shape}")
-    if not np.allclose(mat, mat.T, atol=1e-10, rtol=0.0):
-        raise ValueError(f"{name} must be symmetric")
-    eig = np.linalg.eigvalsh(mat)
-    if eig[0] < -1e-10 * max(1.0, eig[-1]):
-        raise ValueError(f"{name} must be PSD, smallest eigenvalue {eig[0]:.3e}")
-    return 0.5 * (mat + mat.T)
-
-
 @dataclass(frozen=True)
 class PlantSpec:
-    """Plant step, noise covariances, and nonlinearity parameters."""
+    """Plant step, noise scales, and nonlinearity parameters.
+
+    ``process_cov`` (Q) and ``measurement_cov`` (R) are ``q_scale`` and
+    ``r_scale`` times the identity, built once.
+    """
 
     m: ClassVar[int] = 2
     d: ClassVar[int] = 3
     dt: float = 0.1
-    process_cov: np.ndarray = field(default_factory=lambda: 1e-4 * np.eye(2))
-    measurement_cov: np.ndarray = field(default_factory=lambda: 1e-2 * np.eye(3))
+    q_scale: float = 1e-4
+    r_scale: float = 1e-2
     a: float = 1.0
     b: float = 0.5
+    process_cov: np.ndarray = field(init=False, repr=False, compare=False)
+    measurement_cov: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        object.__setattr__(self, "process_cov", _check_psd(self.process_cov, "process_cov", self.m))
-        object.__setattr__(
-            self, "measurement_cov", _check_psd(self.measurement_cov, "measurement_cov", self.d)
-        )
+        for name in ("q_scale", "r_scale"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        object.__setattr__(self, "process_cov", self.q_scale * np.eye(self.m))
+        object.__setattr__(self, "measurement_cov", self.r_scale * np.eye(self.d))
 
 
 def default_spec(**overrides) -> PlantSpec:
-    """The reference plant: dt=0.1, a=1.0, b=0.5, Q=1e-4 I, R=1e-2 I."""
+    """The reference plant: dt=0.1, a=1.0, b=0.5, q_scale=1e-4, r_scale=1e-2."""
     return PlantSpec(**overrides)
 
 
@@ -137,11 +135,6 @@ def observation(x: np.ndarray, spec: PlantSpec) -> np.ndarray:
     return np.array([x1, x2, np.sin(x1) + 0.5 * x2])
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    lam, vec = np.linalg.eigh(mat)
-    return (vec * np.sqrt(np.maximum(lam, 0.0))) @ vec.T
-
-
 def inject_attack(
     y: np.ndarray, attack: AttackSpec, t: int, last_clean_y: np.ndarray
 ) -> np.ndarray:
@@ -189,15 +182,15 @@ def generate_trace(
     x = np.zeros(spec.m) if x0 is None else np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
-    q_sqrt = _psd_sqrt(spec.process_cov)
-    r_sqrt = _psd_sqrt(spec.measurement_cov)
+    q_sqrt = math.sqrt(spec.q_scale)
+    r_sqrt = math.sqrt(spec.r_scale)
     last_clean = observation(x, spec)
     steps: list[TraceStep] = []
     for t in range(1, n_steps + 1):
-        x = transition(x, spec) + q_sqrt @ rng.standard_normal(spec.m)
+        x = transition(x, spec) + q_sqrt * rng.standard_normal(spec.m)
         if not np.all(np.isfinite(x)):
             raise SimulationFault(f"state diverged at step {t}: {x}")
-        y_clean = observation(x, spec) + r_sqrt @ rng.standard_normal(spec.d)
+        y_clean = observation(x, spec) + r_sqrt * rng.standard_normal(spec.d)
         if attack is not None:
             y = inject_attack(y_clean, attack, t, last_clean)
             if not attack.active(t):

@@ -15,6 +15,7 @@ observed eigenvalue / residual 2-norm), never silently self-calibrate.
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -106,7 +107,7 @@ class PrivacyParams:
     """Full parameter set for the two-phase disclosure scheme.
 
     sigma defaults to the calibrated minimum; any explicit sigma below that
-    minimum is rejected.
+    minimum is rejected, as is a value that is not finite, given or derived.
     """
 
     eps_cov: float
@@ -121,8 +122,8 @@ class PrivacyParams:
 
     def __post_init__(self):
         for name in ("eps_cov", "eps_r", "delta_l", "delta_r"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         for name in ("gamma_cov", "gamma_r"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -142,6 +143,8 @@ class PrivacyParams:
             raise ValueError(
                 f"sigma={self.sigma} below the calibrated minimum {sigma_min}"
             )
+        if not math.isfinite(self.sigma):  # given, or a minimum that overflows
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
 
     @property
     def sigma_min(self) -> float:

@@ -779,10 +779,8 @@ def decode_record(line: str | bytes) -> Handshake | CrTuple | PvTuple | Verdict:
                 for key, kind in PARAM_KEYS if key in raw or key != "sigma"}
         try:
             params = PrivacyParams(**flat, eps_r_waiver=True)
-        except ValueError as exc:  # a value out of its range, or sigma below its minimum
+        except ValueError as exc:  # a value out of its range, or sigma below its minimum or inf
             raise ProtocolError(f"handshake.params: {exc}") from exc
-        if not math.isfinite(params.sigma):  # a derived sigma_min that overflows
-            raise ProtocolError("handshake.params.sigma: non-finite number")
         if d < 1 or p < 1 or p > d or epoch_len < 1:
             raise ProtocolError(f"handshake: invalid dims d={d} p={p} W={epoch_len}")
         if p != params.p:

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpalarm import cli
 from dpalarm.cli import (
@@ -17,6 +19,7 @@ from dpalarm.cli import (
     cmd_sweep,
 )
 from dpalarm.config import (
+    ScenarioConfig,
     default_scenario,
     format_params_text,
     params_hash,
@@ -56,6 +59,45 @@ class TestParamsFile:
         assert s2.attack == sc.attack
         assert s2.epoch_len == sc.epoch_len
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_roundtrip_is_identity(self, data):
+        # the file's keys are the fields of PrivacyParams, PlantSpec, AttackSpec
+        # and ScenarioConfig, so parsing what was formatted gives equal objects
+        pos = st.floats(min_value=1e-6, max_value=1e6)
+        unit = st.floats(min_value=1e-6, max_value=1 - 1e-6)
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        waiver = data.draw(st.booleans())
+        params = PrivacyParams(
+            eps_cov=data.draw(pos), eps_r=data.draw(pos if waiver else unit),
+            gamma_cov=data.draw(unit), gamma_r=data.draw(unit),
+            delta_l=data.draw(pos), delta_r=data.draw(pos), p=data.draw(st.integers(1, 3)),
+            eps_r_waiver=waiver,
+        )
+        if data.draw(st.booleans()):
+            params = dataclasses.replace(params, sigma=params.sigma * data.draw(st.floats(1.0, 1e3)))
+        plant = default_spec(
+            dt=data.draw(pos), a=data.draw(finite), b=data.draw(finite),
+            q_scale=data.draw(st.floats(0.0, 1e6)), r_scale=data.draw(st.floats(0.0, 1e6)),
+        )
+        attack = data.draw(st.none() | st.builds(
+            lambda kind, targets, magnitude, t0, length: AttackSpec(kind, targets, magnitude, t0, t0 + length),
+            st.sampled_from(["bias", "variance_scale", "replay"]),
+            st.frozensets(st.integers(0, 2), min_size=1), finite,
+            st.integers(0, 10**6), st.integers(0, 10**6),
+        ))
+        sc = ScenarioConfig(
+            plant=plant, attack=attack, epoch_len=data.draw(st.integers(1, 1000)),
+            alpha=data.draw(unit), p=params.p, warmup_steps=data.draw(st.integers(0, 10**4)),
+        )
+        assert parse_params_text(format_params_text(params, sc)) == (params, sc)
+
+    def test_scenarios_compare_and_hash_by_value(self):
+        # the derived Q and R arrays take no part: equality raised on them
+        assert default_scenario() == default_scenario()
+        assert hash(default_scenario()) == hash(default_scenario())
+        assert default_scenario() != default_scenario(plant=default_spec(q_scale=3e-4))
+
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError, match="eps_cov"):
             parse_params_text("eps_r=0.5\n")
@@ -76,23 +118,15 @@ class TestParamsFile:
         with pytest.raises(ValueError, match="key=value"):
             parse_params_text("this is not a pair\n")
 
-    @pytest.mark.parametrize(
-        "field, cov",
-        [
-            ("process_cov", np.diag([1e-4, 5e-3])),
-            ("measurement_cov", 1e-2 * np.eye(3) + 1e-3 * (np.ones((3, 3)) - np.eye(3))),
-        ],
-    )
-    def test_covariance_the_file_cannot_hold_rejected(self, field, cov):
-        # the file holds q_scale / r_scale: a multiple of the identity only
-        sc = default_scenario(plant=default_spec(**{field: cov}))
-        with pytest.raises(ValueError, match=rf"^plant\.{field} is not a multiple of the identity$"):
-            format_params_text(reference_params(), sc)
-        with pytest.raises(ValueError, match=field):
-            params_hash(reference_params(), sc)
-        scaled = default_scenario(plant=default_spec(process_cov=3e-4 * np.eye(2)))
-        back = parse_params_text(format_params_text(reference_params(), scaled))[1].plant
-        assert np.array_equal(back.process_cov, scaled.plant.process_cov)
+    @pytest.mark.parametrize("key, field", [("q_scale", "process_cov"), ("r_scale", "measurement_cov")])
+    def test_noise_scale_round_trip(self, key, field):
+        # the file's q_scale / r_scale are the plant's own noise fields
+        plant = default_spec(**{key: 3e-4})
+        text = format_params_text(reference_params(), default_scenario(plant=plant))
+        assert f"{key}=0.0003\n" in text
+        back = parse_params_text(text)[1].plant
+        assert back == plant
+        assert np.array_equal(getattr(back, field), getattr(plant, field))
 
     @pytest.mark.parametrize(
         "key, value",
@@ -229,6 +263,12 @@ class TestSweep:
     def test_repeated_value_rejected(self, grid, repeated):
         with pytest.raises(ValueError, match=f"sweep value {repeated} is repeated"):
             self._config(grid=grid)
+
+    @pytest.mark.parametrize("name, repeats, epochs", [("repeats", 0, 12), ("n_epochs", 2, 0)])
+    def test_empty_sweep_rejected(self, name, repeats, epochs):
+        # n_epochs=0 wrote header-only cells and summary as a finished sweep
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            self._config(repeats=repeats, epochs=epochs)
 
 
 def attacked_scenario(alpha=0.05):

@@ -136,9 +136,7 @@ class TestRunFilter:
             assert np.linalg.norm(rec.s - s) <= 1e-8 * np.linalg.norm(s)
 
     def test_zero_noise_perfect_init(self):
-        spec = default_spec(
-            process_cov=np.zeros((2, 2)), measurement_cov=np.zeros((3, 3))
-        )
+        spec = default_spec(q_scale=0.0, r_scale=0.0)
         trace = generate_trace(spec, None, 100, seed=1, x0=np.array([0.2, 0.1]))
         init = EkfBelief(np.array([0.2, 0.1]), np.zeros((2, 2)))
         # the nominal noise covariances keep S invertible

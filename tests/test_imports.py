@@ -84,3 +84,19 @@ def test_benchmark_traced_names_exist():
         if node is None:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_eigendecompositions_only_in_stats():
+    # one covariance rule: stats._checked_eigh is where a matrix is checked
+    # and eigendecomposed, so no other module calls an eig, eigh or eigvalsh
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "stats.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("eig", "eigh", "eigvalsh"):
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []

@@ -14,9 +14,7 @@ from dpalarm.plant import (
 
 
 def zero_noise_spec(**kw):
-    return default_spec(
-        process_cov=np.zeros((2, 2)), measurement_cov=np.zeros((3, 3)), **kw
-    )
+    return default_spec(q_scale=0.0, r_scale=0.0, **kw)
 
 
 class TestSimulateStep:
@@ -126,11 +124,11 @@ class TestTraceCsv:
 
 class TestSpecValidation:
     def test_covariances(self):
-        with pytest.raises(ValueError, match="2x2"):
-            default_spec(process_cov=np.eye(3))
-        with pytest.raises(ValueError, match="3x3"):
-            default_spec(measurement_cov=np.eye(2))
-        with pytest.raises(ValueError, match="PSD"):
-            default_spec(process_cov=np.diag([1.0, -1.0]))
-        with pytest.raises(ValueError, match="symmetric"):
-            default_spec(measurement_cov=np.triu(np.ones((3, 3))))
+        # Q and R are the scales times the identity; a scale is finite and >= 0
+        spec = default_spec(q_scale=3e-4, r_scale=0.0)
+        assert np.array_equal(spec.process_cov, 3e-4 * np.eye(2))
+        assert np.array_equal(spec.measurement_cov, np.zeros((3, 3)))
+        for name in ("q_scale", "r_scale"):
+            for bad in (-1e-4, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0, got {bad}$"):
+                    default_spec(**{name: bad})

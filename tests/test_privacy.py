@@ -108,6 +108,25 @@ class TestPrivacyParams:
         with pytest.raises(ValueError, match="p must be an integer"):
             PrivacyParams(100.0, 1e-3, 0.01, 0.01, 0.1, 50.0, p)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["eps_cov", "eps_r", "delta_l", "delta_r", "sigma"])
+    def test_non_finite_value_rejected(self, key, bad):
+        # an infinite eps_cov drew no covariance noise, and NaN passed the > 0 test;
+        # constructor and params file alike
+        base = PrivacyParams(1.0, 0.5, 0.01, 0.01, 0.1, 1.0, 3)
+        message = rf"^{key} must be finite(?: and > 0)?, got {bad}$"
+        with pytest.raises(ValueError, match=message):
+            PrivacyParams(**{**base.to_flat(), key: bad})
+        lines = format_params_text(base, default_scenario()).splitlines()
+        text = "\n".join(f"{key}={bad}" if ln.startswith(f"{key}=") else ln for ln in lines)
+        with pytest.raises(ValueError, match=message):
+            parse_params_text(text)
+
+    def test_overflowing_derived_sigma_rejected(self):
+        # delta_r / eps_r overflows: the minimum sigma is inf
+        with pytest.raises(ValueError, match=r"^sigma must be finite, got inf$"):
+            PrivacyParams(1.0, 1e-320, 0.01, 0.01, 0.1, 1.0, 3)
+
     def test_sigma_above_minimum_ok(self):
         p = PrivacyParams(1.0, 0.5, 0.01, 0.01, 0.1, 1.0, 3, sigma=100.0)
         assert p.sigma == 100.0

@@ -764,7 +764,7 @@ class TestDecoderHardening:
         obj = json.loads(self._handshake_line())
         obj["params"]["eps_r"] = eps_r
         del obj["params"]["sigma"]
-        with pytest.raises(ProtocolError, match=r"^handshake\.params\.sigma: non-finite number$"):
+        with pytest.raises(ProtocolError, match=r"^handshake\.params: sigma must be finite, got inf$"):
             decode_record(json.dumps(obj))
 
     def test_handshake_p_must_match_params_p(self):
